@@ -6,7 +6,7 @@ PYTHON ?= python
 PYTEST := env PYTHONPATH=src $(PYTHON) -m pytest
 TIMEOUT ?= timeout
 
-.PHONY: check test test-fast test-faults test-soak bench-smoke obs-smoke \
+.PHONY: check test test-fast test-faults test-soak bench bench-smoke obs-smoke \
 	guard-smoke mvcc-smoke lint-smoke bf-smoke health-smoke \
 	orchestrator-smoke sanitize-smoke lint lint-strict ruff pylint
 
@@ -33,12 +33,17 @@ test-faults:
 test-soak:
 	$(TIMEOUT) 900 $(PYTEST) -x -q -m soak
 
-# Plan-cache benchmark at toy scale: proves the harness runs end-to-end
-# and BENCH_maintenance.json stays well-formed, without the full run's
-# cost.  (The full benchmark is `python benchmarks/bench_plan_cache.py`.)
+# The end-to-end benchmark (benchmarks/e2e/README.md) with every
+# workload ~50x smaller: all four streams, the tax table, the memory
+# leg and the per-layer trace run, each checked against its oracle.
 bench-smoke:
-	env PYTHONPATH=src $(PYTHON) benchmarks/bench_plan_cache.py --smoke \
-		--out /tmp/bench_plan_cache_smoke.json
+	python3 benchmarks/e2e/suite.py --smoke
+
+# The full benchmark, compared with the committed seed-1 baseline
+# (exit 3 when a gated metric is worse beyond its BENCHMARK.json bound).
+bench:
+	python3 benchmarks/e2e/suite.py \
+		--compare benchmarks/e2e/baseline/seed1.json
 
 # Observability acceptance at toy scale: traced counting+DRed passes
 # emit a well-formed span-tree JSONL, the metrics registry renders

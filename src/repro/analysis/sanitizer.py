@@ -28,8 +28,7 @@ raises :class:`~repro.errors.SanitizerError` the instant it breaks:
   the commit tail of a maintenance pass.
 
 The *disabled* path costs one ``is None`` test per protocol edge — the
-same hook pattern as tracing/health/metrics, gated < 5% in
-``benchmarks/bench_plan_cache.py``.
+same hook pattern as tracing/health/metrics.
 """
 
 from __future__ import annotations

@@ -96,8 +96,7 @@ def write_bench_json(
     The document is written via tmp + rename so a crashed benchmark run
     never leaves a truncated file behind for CI to mis-parse.  ``payload``
     must be JSON-serializable; benchmarks put their config, per-group
-    measurements, and derived ratios in it (see
-    ``benchmarks/bench_plan_cache.py`` → ``BENCH_maintenance.json``).
+    measurements, and derived ratios in it.
 
     ``telemetry`` — an optional dict embedded under a ``"telemetry"``
     key: benchmarks pass the maintainer's stats snapshot and a metrics

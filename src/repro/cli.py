@@ -1356,8 +1356,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--no-plan-cache",
         action="store_true",
-        help="disable the compiled delta-plan cache (replan every pass; "
-        "the baseline configuration of benchmarks/bench_plan_cache.py)",
+        help="disable the compiled delta-plan cache (replan every pass)",
     )
     parser.add_argument(
         "--recover",

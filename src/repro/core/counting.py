@@ -309,21 +309,15 @@ class CountingMaintenance:
                 break  # nothing can change above this point
             self.guard.checkpoint("counting.stratum")
             pending: Dict[str, CountedRelation] = {}
-            if tracer.enabled:
-                stratum_span = tracer.span(
-                    "stratum", f"stratum {stratum}", stratum=stratum,
-                    changed_predicates=len(changed),
-                )
-                with stratum_span, tracer.span("phase", "propagate"):
-                    fired = self._propagate_stratum(
-                        stratum_rules, changed, pending
-                    )
-                    stratum_span.set(
-                        delta_tuples=sum(len(d) for d in pending.values())
-                    )
-            else:
+            with tracer.span(
+                "stratum", f"stratum {stratum}", stratum=stratum,
+                changed_predicates=len(changed),
+            ) as stratum_span, tracer.span("phase", "propagate"):
                 fired = self._propagate_stratum(
                     stratum_rules, changed, pending
+                )
+                stratum_span.set(
+                    delta_tuples=sum(len(d) for d in pending.values())
                 )
             if fired:
                 self.stats.strata_reached = stratum
@@ -432,29 +426,24 @@ class CountingMaintenance:
         self.guard.tick(rules=1)
         out = CountedRelation(names.delta(rule.head.predicate), rule.head.arity)
         unit = self._unit_policy if self.semantics == "set" else None
-        tracer = self.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "rule", rule.head.predicate, variants=len(delta_rules),
-                tuples_in=sum(
-                    len(self._cascade_of(predicate))
-                    for predicate in changed
-                ),
-            )
-            hits0 = cache.hits if cache is not None else 0
-            misses0 = cache.misses if cache is not None else 0
-            probes0 = cache.index_probes if cache is not None else 0
-            with span:
-                self._evaluate_variants(delta_rules, out, unit, cache)
-                span.set(tuples_out=len(out))
-                if cache is not None:
-                    span.set(
-                        cache_hits=cache.hits - hits0,
-                        cache_misses=cache.misses - misses0,
-                        index_probes=cache.index_probes - probes0,
-                    )
-        else:
+        hits0, misses0, probes0 = (
+            (cache.hits, cache.misses, cache.index_probes)
+            if cache is not None else (0, 0, 0)
+        )
+        with self.tracer.span(
+            "rule", rule.head.predicate, variants=len(delta_rules),
+            tuples_in=sum(
+                len(self._cascade_of(predicate)) for predicate in changed
+            ),
+        ) as span:
             self._evaluate_variants(delta_rules, out, unit, cache)
+            span.set(tuples_out=len(out))
+            if cache is not None:
+                span.set(
+                    cache_hits=cache.hits - hits0,
+                    cache_misses=cache.misses - misses0,
+                    index_probes=cache.index_probes - probes0,
+                )
         self.stats.delta_tuples_computed += len(out)
         self.guard.tick(tuples=len(out))
         self.guard.checkpoint("counting.rule")
@@ -491,22 +480,14 @@ class CountingMaintenance:
         self.stats.rules_fired += 1
         self.guard.tick(rules=1)
         delta = self._cascade_of(grouped_pred)
-        if self.tracer.enabled:
-            with self.tracer.span(
-                "rule", head, aggregate=True, tuples_in=len(delta)
-            ) as span:
-                old_grouped = self._old_relation(grouped_pred)
-                delta_t = view.maintain(old_grouped, delta, undo=self.undo)
-                if self.faults is not None:
-                    self.faults.fire("aggregate_merge")
-                span.set(
-                    tuples_out=len(delta_t) if delta_t is not None else 0
-                )
-            return delta_t
-        old_grouped = self._old_relation(grouped_pred)
-        delta_t = view.maintain(old_grouped, delta, undo=self.undo)
-        if self.faults is not None:
-            self.faults.fire("aggregate_merge")
+        with self.tracer.span(
+            "rule", head, aggregate=True, tuples_in=len(delta)
+        ) as span:
+            old_grouped = self._old_relation(grouped_pred)
+            delta_t = view.maintain(old_grouped, delta, undo=self.undo)
+            if self.faults is not None:
+                self.faults.fire("aggregate_merge")
+            span.set(tuples_out=len(delta_t) if delta_t is not None else 0)
         return delta_t
 
     def _commit_stratum(self, pending: Dict[str, CountedRelation]) -> None:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import logging
 import os
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Literal as TypingLiteral, Optional
 
@@ -82,7 +83,41 @@ STRATEGIES = ("auto", "counting", "dred", "bf")
 
 #: Strategies that maintain pure sets with DRed-style machinery (their
 #: views are clamped to set counts and base changes canonicalized).
+#: Ask :attr:`ViewMaintainer.set_only`, never the strategy string.
 SET_ONLY_STRATEGIES = ("dred", "bf")
+
+
+def _as_sets(views: Dict[str, CountedRelation]) -> Dict[str, CountedRelation]:
+    """Copies of ``views`` with every positive count clamped to 1."""
+    return {name: relation.set_view(name) for name, relation in views.items()}
+
+
+def _set_level_changes(result: DRedResult) -> Iterable[str]:
+    return set(result.deletions) | set(result.insertions)
+
+
+def _user_deltas(result, changed: Iterable[str]) -> Dict[str, CountedRelation]:
+    """The engine result's delta per changed view, internal helpers hidden."""
+    return {
+        name: result.delta(name)
+        for name in changed
+        if not names.is_internal(name)
+    }
+
+
+#: The interchangeable drivers: strategy → (engine class, the options it
+#: takes beyond the common ones as ``option: maintainer attribute``, how
+#: to list the views its result changed).  The strategy name doubles as
+#: the :class:`MaintenanceReport` field that carries the engine result.
+_ENGINES = {
+    "counting": (
+        CountingMaintenance,
+        {"semantics": "semantics", "mode": "counting_mode"},
+        lambda result: result.view_deltas,
+    ),
+    "dred": (DRedMaintenance, {}, _set_level_changes),
+    "bf": (BFMaintenance, {}, _set_level_changes),
+}
 
 
 @dataclass
@@ -287,10 +322,9 @@ class ViewMaintainer:
         )
         self.stats = MaintenanceStats()
         #: Health layer (both off by default; one ``is None`` check per
-        #: pass — bench-gated < 5%).  ``health`` scores every pass
-        #: against declared SLOs (:mod:`repro.obs.health`); ``profiler``
-        #: folds per-phase timings into rolling quantiles
-        #: (:mod:`repro.obs.profiler`).
+        #: pass).  ``health`` scores every pass against declared SLOs
+        #: (:mod:`repro.obs.health`); ``profiler`` folds per-phase
+        #: timings into rolling quantiles (:mod:`repro.obs.profiler`).
         self.health = health
         self.profiler = profiler
 
@@ -298,35 +332,14 @@ class ViewMaintainer:
 
     @classmethod
     def from_source(
-        cls,
-        source: str,
-        database: Database,
-        strategy: Strategy = "auto",
-        semantics: Semantics = "set",
-        counting_mode: CountingMode = "expansion",
-        crash_safe: bool = True,
-        plan_cache: bool = True,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        guard: Optional[GuardPolicy] = None,
-        health=None,
-        profiler=None,
+        cls, source: str, database: Database, **options
     ) -> "ViewMaintainer":
-        """Build a maintainer from Datalog source text."""
-        return cls(
-            parse_program(source),
-            database,
-            strategy=strategy,
-            semantics=semantics,
-            counting_mode=counting_mode,
-            crash_safe=crash_safe,
-            plan_cache=plan_cache,
-            tracer=tracer,
-            metrics=metrics,
-            guard=guard,
-            health=health,
-            profiler=profiler,
-        )
+        """Build a maintainer from Datalog source text.
+
+        ``options`` are the constructor's keyword arguments
+        (``strategy``, ``semantics``, ``guard``, ``tracer`` …).
+        """
+        return cls(parse_program(source), database, **options)
 
     def _set_program(self, normalized: NormalizedProgram) -> None:
         self.normalized = normalized
@@ -372,23 +385,58 @@ class ViewMaintainer:
 
     def initialize(self) -> "ViewMaintainer":
         """Materialize every view and set up aggregate group states."""
-        self.views = materialize(
+        # Fresh relation objects, not patched ones: re-initializing is a
+        # structural change that severs MVCC history (_register_views).
+        self.views = {}
+        self._adopt_views(self._rebuild_views())
+        self._initialized = True
+        return self
+
+    @property
+    def set_only(self) -> bool:
+        """The one set-only rule: DRed and B/F maintain pure sets.
+
+        Where it holds, stored view counts are clamped to 1, base
+        changes are canonicalized (a duplicate insert is a no-op, a
+        delete removes the row whatever its multiplicity, deleting an
+        absent row is an error) and views compare at the set level.
+        """
+        return self.strategy in SET_ONLY_STRATEGIES
+
+    def _rebuild_views(
+        self, database: Optional[Database] = None
+    ) -> Dict[str, CountedRelation]:
+        """Every view recomputed from scratch, as this strategy stores it.
+
+        ``database`` defaults to the live one; pass a pinned snapshot's
+        ``as_database`` to recompute at a committed epoch.
+        """
+        fresh = materialize(
             self.normalized.program,
-            self.database,
+            database if database is not None else self.database,
             semantics=self.semantics,
             stratification=self.stratification,
         )
-        if self.strategy in SET_ONLY_STRATEGIES:
-            # DRed/B-F maintain pure sets; clamp the per-stratum duplicate
-            # counts the set-mode materialization produces down to 1.
-            self.views = {
-                name: relation.set_view(name)
-                for name, relation in self.views.items()
-            }
+        # The set-mode materialization leaves per-stratum duplicate
+        # counts behind; set-only strategies store 1.
+        return _as_sets(fresh) if self.set_only else fresh
+
+    def _adopt_views(self, fresh: Dict[str, CountedRelation]) -> None:
+        """Make the stored views equal ``fresh``, in place.
+
+        Existing relation objects are patched (references held
+        elsewhere stay valid), every aggregate group state is rebuilt
+        over the result, and the views are (re)bound for MVCC.
+        """
+        for name, expected in fresh.items():
+            actual = self.views.get(name)
+            if actual is None:
+                self.views[name] = expected
+            else:
+                actual.replace_rows(expected.to_dict())
+                actual.arity = expected.arity
         self._init_aggregate_views()
         self._register_views()
-        self._initialized = True
-        return self
 
     def _register_views(self) -> None:
         """Adopt the view relations into the database's MVCC registry.
@@ -404,12 +452,9 @@ class ViewMaintainer:
         if mvcc is not None:
             mvcc.rebind(self.views)
 
-    def _init_aggregate_views(self, only: Optional[Iterable[str]] = None) -> None:
+    def _init_aggregate_views(self) -> None:
         resolver = Resolver(self.database, self.views)
-        wanted = set(only) if only is not None else None
         for predicate, rule in self.normalized.aggregate_rules.items():
-            if wanted is not None and predicate not in wanted:
-                continue
             view = AggregateView(rule, unit_counts=self.semantics == "set")
             grouped = resolver.relation(rule.body[0].relation.predicate)
             view.initialize(grouped)
@@ -571,71 +616,89 @@ class ViewMaintainer:
             reason = "forced" if policy.force_fallback else "breaker_open"
         return self._commit(self._recompute_pass(changes, reason), route)
 
-    def _incremental_pass(self, changes: Changeset) -> MaintenanceReport:
-        """One shadow-committed incremental pass (no commit tail).
+    @contextmanager
+    def _shadow_pass(self):
+        """The one pass envelope: an undo log over an open MVCC epoch.
 
-        With MVCC the whole pass runs inside one epoch: every relation
-        records pre-images while the engines mutate, the journal entry
-        is stamped with the epoch about to be published, and the commit
-        flips all views and base relations to the new epoch atomically.
-        Row-level undo recording is disabled (``track_rows=False``) —
-        crash unwind *discards the uncommitted version* via
-        ``mvcc.abort()`` instead of replaying the undo log, which keeps
-        only the structural notes (created relations, remapped dicts).
+        Yields the :class:`UndoLog` the body must note pre-images in
+        (``None`` with ``crash_safe=False``).  Any exception out of the
+        body rolls the pass back — the uncommitted epoch is aborted,
+        the log unwound, ``repro_rollbacks_total`` bumped, ``mvcc_abort``
+        / ``rollback`` trace events emitted — and re-raises.  A clean
+        exit leaves the epoch open for :meth:`_publish`.
+
+        With MVCC the open epoch already records every touched row's
+        pre-image and ``abort()`` discards the uncommitted version, so
+        the log keeps only structural notes (created relations,
+        reassigned attributes, remapped dicts): ``track_rows=False``.
         """
         mvcc = self.database.mvcc
-        undo = (
-            UndoLog(track_rows=mvcc is None) if self.crash_safe else None
-        )
+        undo = UndoLog(track_rows=mvcc is None) if self.crash_safe else None
         if mvcc is not None:
             mvcc.begin()
-        span = self.tracer.span(
+        try:
+            yield undo
+        except BaseException as exc:
+            if mvcc is not None and mvcc.in_flight:
+                restored = mvcc.abort()
+                self.tracer.event(
+                    "mvcc_abort", error=type(exc).__name__, rows=restored
+                )
+            if undo is not None:
+                logger.warning(
+                    "maintenance pass failed (%s: %s); unwinding %d undo "
+                    "entries", type(exc).__name__, exc, len(undo),
+                )
+                entries = undo.unwind()
+                self.metrics.counter(
+                    "repro_rollbacks_total",
+                    "Maintenance passes rolled back by the shadow-commit "
+                    "undo log",
+                ).inc()
+                self.tracer.event(
+                    "rollback", error=type(exc).__name__, entries=entries
+                )
+            raise
+
+    def _publish(self, swapped: bool = False) -> Optional[int]:
+        """Rebind the views and flip the epoch; ``None`` with MVCC off.
+
+        A pass rebinds *first*: a relation born mid-pass registers
+        inside the open epoch and gets zero pre-images, so snapshots
+        pinned earlier read it empty.  :meth:`alter` replaced every view
+        object (``swapped``), which makes the rebind sever history — it
+        must land *after* the rule-change epoch is published, or a
+        reader could pin the severed epoch and see the new objects torn.
+        """
+        mvcc = self.database.mvcc
+        if mvcc is None:
+            return None
+        if not swapped:
+            self._register_views()
+        epoch = mvcc.commit()
+        if swapped:
+            self._register_views()
+        return epoch
+
+    def _incremental_pass(self, changes: Changeset) -> MaintenanceReport:
+        """One shadow-committed incremental pass (no commit tail)."""
+        with self._shadow_pass() as undo, self.tracer.span(
             "pass",
             self.strategy,
             insertions=changes.insertion_count(),
             deletions=changes.deletion_count(),
-        )
-        try:
-            with span:
-                report = self._run_maintenance(changes, undo)
-                self._append_journal(changes)
-                span.set(
-                    tuples_changed=report.total_changes(),
-                    seconds=report.seconds,
-                )
-        except BaseException as exc:
-            self._rollback(undo, exc)
-            raise
+        ) as span:
+            report = self._run_maintenance(changes, undo)
+            self._append_journal(changes)
+            span.set(
+                tuples_changed=report.total_changes(),
+                seconds=report.seconds,
+            )
         # The span has closed (and hit the sink), so the exemplar id the
         # profiler stores is already resolvable in the trace ring.
         report.span_id = getattr(span, "span_id", None)
-        if mvcc is not None:
-            self._register_views()
-            report.epoch = mvcc.commit()
+        report.epoch = self._publish()
         return report
-
-    def _rollback(self, undo: Optional[UndoLog], exc: BaseException) -> None:
-        mvcc = self.database.mvcc
-        if mvcc is not None and mvcc.in_flight:
-            restored = mvcc.abort()
-            self.tracer.event(
-                "mvcc_abort", error=type(exc).__name__, rows=restored
-            )
-        if undo is None:
-            return
-        logger.warning(
-            "maintenance pass failed (%s: %s); unwinding %d undo "
-            "entries", type(exc).__name__, exc, len(undo),
-        )
-        undo.unwind()
-        self.metrics.counter(
-            "repro_rollbacks_total",
-            "Maintenance passes rolled back by the shadow-commit "
-            "undo log",
-        ).inc()
-        self.tracer.event(
-            "rollback", error=type(exc).__name__, entries=len(undo)
-        )
 
     def _commit(self, report: MaintenanceReport, route: str) -> MaintenanceReport:
         """The shared post-commit tail of every successful pass."""
@@ -643,12 +706,7 @@ class ViewMaintainer:
         self.lifetime.record(report)
         self.stats.record_pass(report, self.plan_cache)
         self._record_metrics(report)
-        # Health-layer hooks, hoisted behind `is None` (the disabled
-        # path is one attribute check each; bench-gated < 5%).
-        if self.profiler is not None:
-            self.profiler.observe_pass(report)
-        if self.health is not None:
-            self.health.observe_pass(self, report)
+        self._observe(report)
         sanitizer = self.database.sanitizer
         if sanitizer is not None and self.strategy == "counting":
             # Theorem 4.1 gate: stored counts on the views this pass
@@ -660,15 +718,14 @@ class ViewMaintainer:
         self._auto_checkpoint()
         return report
 
-    def _observe_degraded(
-        self, report: MaintenanceReport
-    ) -> MaintenanceReport:
-        """Health hooks for passes that bypass :meth:`_commit`.
+    def _observe(self, report: MaintenanceReport) -> MaintenanceReport:
+        """Hand one pass record to the health layer (both off by default).
 
-        Quarantined and skipped passes never reach the commit tail, but
-        they are exactly what the ``freshness_lag`` / ``error_rate``
-        objectives exist to notice, so the health layer still scores
-        them (the profiler ignores zero-work reports on its own).
+        Committed passes come through :meth:`_commit`; quarantined and
+        skipped ones never reach it, but they are exactly what the
+        ``freshness_lag`` / ``error_rate`` objectives exist to notice,
+        so they are scored too (the profiler ignores zero-work reports
+        on its own).
         """
         if self.profiler is not None:
             self.profiler.observe_pass(report)
@@ -738,9 +795,9 @@ class ViewMaintainer:
         if queue is None:
             raise exc
         queue.append(changes, reason, error=exc)
-        self._note_lag()
+        self._set_lag(self._lag_changesets + 1)
         self.tracer.event("quarantine", reason=reason, error=str(exc))
-        return self._observe_degraded(
+        return self._observe(
             MaintenanceReport(strategy="quarantined", seconds=0.0)
         )
 
@@ -755,13 +812,13 @@ class ViewMaintainer:
         if self.guard.quarantine is not None:
             self.guard.quarantine.append(changes, "budget", error=exc)
         self.guard.skipped_passes += 1
-        self._note_lag()
+        self._set_lag(self._lag_changesets + 1)
         self.metrics.counter(
             "repro_guard_skipped_passes_total",
             "Passes skipped by the guard (changeset parked, views lag).",
         ).inc()
         self.tracer.event("guard_skip", error=str(exc))
-        return self._observe_degraded(
+        return self._observe(
             MaintenanceReport(strategy="skipped", seconds=0.0)
         )
 
@@ -779,64 +836,32 @@ class ViewMaintainer:
         including the journal.
         """
         started = time.perf_counter()
-        mvcc = self.database.mvcc
-        undo = (
-            UndoLog(track_rows=mvcc is None) if self.crash_safe else None
-        )
-        if mvcc is not None:
-            mvcc.begin()
         old_views = {
             name: relation.copy() for name, relation in self.views.items()
         }
-        span = self.tracer.span(
+        with self._shadow_pass() as undo, self.tracer.span(
             "pass",
             "recompute",
             reason=reason,
             insertions=changes.insertion_count(),
             deletions=changes.deletion_count(),
-        )
-        try:
-            with span:
-                if undo is not None:
-                    undo.note_mapping(self.views)
-                    for name, relation in self.views.items():
-                        undo.note_rows(relation, old_views[name])
-                        undo.note_attr(relation, "arity")
-                    # _init_aggregate_views builds fresh AggregateView
-                    # objects and reassigns the mapping entries; the old
-                    # objects are never mutated, so restoring the
-                    # mapping restores their states too.
-                    undo.note_mapping(self.aggregate_views)
-                self._apply_base_changes_direct(changes, undo)
-                self.faults.fire("fallback_recompute")
-                fresh = materialize(
-                    self.normalized.program,
-                    self.database,
-                    semantics=self.semantics,
-                    stratification=self.stratification,
-                )
-                if self.strategy in SET_ONLY_STRATEGIES:
-                    fresh = {
-                        name: relation.set_view(name)
-                        for name, relation in fresh.items()
-                    }
-                for name, expected in fresh.items():
-                    actual = self.views.get(name)
-                    if actual is None:
-                        self.views[name] = expected
-                    else:
-                        actual.replace_rows(expected.to_dict())
-                        actual.arity = expected.arity
-                self._init_aggregate_views()
-                self._append_journal(changes)
-                span.set(seconds=time.perf_counter() - started)
-        except BaseException as exc:
-            self._rollback(undo, exc)
-            raise
-        epoch = None
-        if mvcc is not None:
-            self._register_views()
-            epoch = mvcc.commit()
+        ) as span:
+            if undo is not None:
+                undo.note_mapping(self.views)
+                for name, relation in self.views.items():
+                    undo.note_rows(relation, old_views[name])
+                    undo.note_attr(relation, "arity")
+                # _init_aggregate_views builds fresh AggregateView
+                # objects and reassigns the mapping entries; the old
+                # objects are never mutated, so restoring the mapping
+                # restores their states too.
+                undo.note_mapping(self.aggregate_views)
+            self._apply_base_changes_direct(changes, undo)
+            self.faults.fire("fallback_recompute")
+            self._adopt_views(self._rebuild_views())
+            self._append_journal(changes)
+            span.set(seconds=time.perf_counter() - started)
+        epoch = self._publish()
         self.guard.fallback_passes += 1
         self.metrics.counter(
             "repro_guard_fallback_passes_total",
@@ -870,7 +895,7 @@ class ViewMaintainer:
                     f"cannot change derived relation {name} directly; "
                     "change the base relations it is derived from"
                 )
-        if self.strategy in SET_ONLY_STRATEGIES:
+        if self.set_only:
             for name, delta in changes:
                 relation = self.database.get(name)
                 if relation is None:
@@ -926,20 +951,12 @@ class ViewMaintainer:
 
     # ----------------------------------------------------------- staleness
 
-    def _note_lag(self) -> None:
-        self._lag_changesets += 1
-        if self._lag_since is None:
-            self._lag_since = time.time()
-        self.metrics.gauge(
-            "repro_guard_lag_changesets",
-            "Changesets admitted to the stream but not applied "
-            "(quarantined or skipped).",
-        ).set(self._lag_changesets)
-
-    def _drop_lag(self, count: int = 1) -> None:
-        self._lag_changesets = max(0, self._lag_changesets - count)
+    def _set_lag(self, changesets: int) -> None:
+        self._lag_changesets = max(0, changesets)
         if self._lag_changesets == 0:
             self._lag_since = None
+        elif self._lag_since is None:
+            self._lag_since = time.time()
         self.metrics.gauge(
             "repro_guard_lag_changesets",
             "Changesets admitted to the stream but not applied "
@@ -956,7 +973,7 @@ class ViewMaintainer:
 
     def clear_lag(self) -> None:
         """Declare the views caught up (e.g. after an out-of-band fix)."""
-        self._drop_lag(self._lag_changesets)
+        self._set_lag(0)
 
     # ----------------------------------------------------------- health
 
@@ -1001,7 +1018,7 @@ class ViewMaintainer:
             raise MaintenanceError("no quarantine queue configured")
         reports: List[MaintenanceReport] = []
         for _entry, changes in queue.take(entry_id):
-            self._drop_lag()
+            self._set_lag(self._lag_changesets - 1)
             reports.append(self.apply(changes))
         return reports
 
@@ -1011,7 +1028,7 @@ class ViewMaintainer:
         if queue is None:
             raise MaintenanceError("no quarantine queue configured")
         dropped = queue.purge()
-        self._drop_lag(dropped)
+        self._set_lag(self._lag_changesets - dropped)
         return dropped
 
     def apply_many(self, changesets: Iterable[Changeset]) -> MaintenanceReport:
@@ -1135,38 +1152,8 @@ class ViewMaintainer:
     def _run_maintenance(
         self, changes: Changeset, undo: Optional[UndoLog] = None
     ) -> MaintenanceReport:
-        self._require_initialized()
-        if changes.is_empty():
-            return MaintenanceReport(strategy=self.strategy, seconds=0.0)
-        if self.strategy == "counting":
-            run = CountingMaintenance(
-                self.normalized,
-                self.stratification,
-                self.database,
-                self.views,
-                self.aggregate_views,
-                semantics=self.semantics,
-                mode=self.counting_mode,
-                faults=self.faults,
-                undo=undo,
-                plan_cache=self.plan_cache,
-                tracer=self.tracer,
-                guard=self.guard.meter,
-            )
-            result = run.run(changes)
-            deltas = {
-                name: delta
-                for name, delta in result.view_deltas.items()
-                if not names.is_internal(name)
-            }
-            return MaintenanceReport(
-                strategy="counting",
-                seconds=result.stats.seconds,
-                view_deltas=deltas,
-                counting=result,
-            )
-        engine = BFMaintenance if self.strategy == "bf" else DRedMaintenance
-        run = engine(
+        engine, extra, changed = _ENGINES[self.strategy]
+        result = engine(
             self.normalized,
             self.stratification,
             self.database,
@@ -1177,25 +1164,13 @@ class ViewMaintainer:
             plan_cache=self.plan_cache,
             tracer=self.tracer,
             guard=self.guard.meter,
-        )
-        result = run.run(changes)
-        deltas = {
-            name: result.delta(name)
-            for name in set(result.deletions) | set(result.insertions)
-            if not names.is_internal(name)
-        }
-        if self.strategy == "bf":
-            return MaintenanceReport(
-                strategy="bf",
-                seconds=result.stats.seconds,
-                view_deltas=deltas,
-                bf=result,
-            )
+            **{option: getattr(self, name) for option, name in extra.items()},
+        ).run(changes)
         return MaintenanceReport(
-            strategy="dred",
+            strategy=self.strategy,
             seconds=result.stats.seconds,
-            view_deltas=deltas,
-            dred=result,
+            view_deltas=_user_deltas(result, changed(result)),
+            **{self.strategy: result},
         )
 
     def alter(
@@ -1227,32 +1202,6 @@ class ViewMaintainer:
                 "duplicate semantics"
             )
         started = time.perf_counter()
-        mvcc = self.database.mvcc
-        undo = (
-            UndoLog(track_rows=mvcc is None) if self.crash_safe else None
-        )
-        if mvcc is not None:
-            mvcc.begin()
-        if undo is not None:
-            # Rule changes rewrite the program *and* rewrite views in
-            # place; snapshot everything a failed redefinition could
-            # have touched.  alter() is rare, so whole-relation copies
-            # are acceptable here (apply() never pays this).
-            for attribute in (
-                "normalized", "program", "stratification", "strategy", "views"
-            ):
-                undo.note_attr(self, attribute)
-            undo.note_mapping(self.views)
-            for relation in self.views.values():
-                undo.note_rows(relation, relation.copy())
-            undo.note_attr(self, "aggregate_views")
-            undo.note_mapping(self.aggregate_views)
-            for view in self.aggregate_views.values():
-                undo.note_attr(view, "_states")
-                undo.note_mapping(view._states)
-                undo.note_attr(view, "_initialized")
-                undo.note_attr(view, "incremental_updates")
-                undo.note_attr(view, "recomputes")
         # The program is about to change: every cached plan, variant
         # rewrite, and relevance filter compiled from it is now suspect.
         # (Keys are structural, so stale entries would in fact still be
@@ -1261,47 +1210,50 @@ class ViewMaintainer:
         if self.plan_cache is not None:
             self.plan_cache.invalidate()
         try:
-            new_normalized, new_strat, result = maintain_rule_changes(
-                self, added, removed
-            )
-            self.normalized = new_normalized
-            self.program = new_normalized.original
-            self.stratification = new_strat
-            # Rule-change maintenance is a DRed operation (Section 7); it
-            # leaves set-style counts behind, so the maintainer stays on the
-            # DRed strategy from here on.  Re-create the maintainer to go
-            # back to counting after a redefinition.
-            self.strategy = "dred"
-            self.views = {
-                name: relation.set_view(name)
-                for name, relation in self.views.items()
-            }
-        except BaseException:
-            if mvcc is not None and mvcc.in_flight:
-                mvcc.abort()
-            if undo is not None:
-                undo.unwind()
+            with self._shadow_pass() as undo:
+                if undo is not None:
+                    # Rule changes rewrite the program *and* rewrite
+                    # views in place; snapshot everything a failed
+                    # redefinition could have touched.  alter() is rare,
+                    # so whole-relation copies are acceptable here
+                    # (apply() never pays this).
+                    for attribute in (
+                        "normalized", "program", "stratification",
+                        "strategy", "views",
+                    ):
+                        undo.note_attr(self, attribute)
+                    undo.note_mapping(self.views)
+                    for relation in self.views.values():
+                        undo.note_rows(relation, relation.copy())
+                    undo.note_attr(self, "aggregate_views")
+                    undo.note_mapping(self.aggregate_views)
+                    for view in self.aggregate_views.values():
+                        undo.note_attr(view, "_states")
+                        undo.note_mapping(view._states)
+                        undo.note_attr(view, "_initialized")
+                        undo.note_attr(view, "incremental_updates")
+                        undo.note_attr(view, "recomputes")
+                new_normalized, new_strat, result = maintain_rule_changes(
+                    self, added, removed
+                )
+                self.normalized = new_normalized
+                self.program = new_normalized.original
+                self.stratification = new_strat
+                # Rule-change maintenance is a DRed operation (Section
+                # 7); it leaves set-style counts behind, so the
+                # maintainer stays on the DRed strategy from here on.
+                # Re-create the maintainer to go back to counting after
+                # a redefinition.
+                self.strategy = "dred"
+                self.views = _as_sets(self.views)
+        finally:
+            # Drop what the redefinition itself compiled: plans from the
+            # *old* rules on success, plans against the transitional
+            # program the unwind just rolled back on failure.
             if self.plan_cache is not None:
-                # Drop anything compiled mid-redefinition against the
-                # transitional program the unwind just rolled back.
                 self.plan_cache.invalidate()
-            raise
-        epoch = None
-        if mvcc is not None:
-            # Publish the rule-change pass, then adopt the replacement
-            # view objects — the rebind severs history (a redefinition
-            # is a structural change no older snapshot can span).
-            epoch = mvcc.commit()
-            self._register_views()
-        # Drop plans the rule-change pass compiled from the *old* rules;
-        # from here on only the new program's plans may be cached.
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate()
-        deltas = {
-            name: result.delta(name)
-            for name in set(result.deletions) | set(result.insertions)
-            if not names.is_internal(name)
-        }
+        epoch = self._publish(swapped=True)
+        deltas = _user_deltas(result, _set_level_changes(result))
         self._subscriptions.notify(deltas, epoch=epoch)
         return MaintenanceReport(
             strategy="dred(rule-change)",
@@ -1572,30 +1524,15 @@ class ViewMaintainer:
         self._require_initialized()
         from repro.resilience.repair import view_matches
 
-        mvcc = self.database.mvcc
-        if mvcc is None:
-            fresh = materialize(
-                self.normalized.program,
-                self.database,
-                semantics=self.semantics,
-                stratification=self.stratification,
-            )
-            reader = self.views
-            epoch = None
-        else:
-            with self.database.snapshot() as snap:
-                epoch = snap.epoch
-                fresh = materialize(
-                    self.normalized.program,
-                    snap.as_database(self.database.names()),
-                    semantics=self.semantics,
-                    stratification=self.stratification,
-                )
-                reader = {
-                    name: snap.relation(name)
-                    for name in fresh
-                    if name in self.views
-                }
+        with ExitStack() as stack:
+            if self.database.mvcc is None:
+                epoch, source, read = None, self.database, self.views.get
+            else:
+                snap = stack.enter_context(self.database.snapshot())
+                epoch, read = snap.epoch, snap.relation
+                source = snap.as_database(self.database.names())
+            fresh = self._rebuild_views(source)
+            reader = {name: read(name) for name in fresh if name in self.views}
         self.last_validated_epoch = epoch
         for name, expected in fresh.items():
             actual = reader.get(name, CountedRelation(name))

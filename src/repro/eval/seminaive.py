@@ -28,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.datalog.ast import Literal, Rule
 from repro.eval.rule_eval import EvalContext, Resolver, evaluate_rule
 from repro.guard.budget import NOOP_METER
+from repro.obs.trace import Tracer
 from repro.storage.relation import CountedRelation
 
 logger = logging.getLogger(__name__)
@@ -92,9 +93,9 @@ def seminaive(
     across rounds *and* across maintenance passes (DRed rebuilds
     structurally-equal rules each pass, which hit the same entries).
 
-    ``tracer`` — an optional :class:`~repro.obs.trace.Tracer`; when
-    enabled, each rule evaluation is wrapped in a ``rule`` span carrying
-    the fixpoint round and the number of rows it contributed.
+    ``tracer`` — an optional :class:`~repro.obs.trace.Tracer` (default:
+    a disabled one); each rule evaluation is wrapped in a ``rule`` span
+    carrying the fixpoint round and the number of rows it contributed.
 
     ``guard`` — an optional :class:`~repro.guard.budget.BudgetMeter`;
     enabled meters get a cooperative cancellation checkpoint per
@@ -104,7 +105,8 @@ def seminaive(
     resolver = Resolver(base, dict(targets))
     ctx = EvalContext(resolver, unit_counts=_unit, plan_cache=plan_cache)
     target_names = frozenset(targets)
-    traced = tracer is not None and tracer.enabled
+    if tracer is None:
+        tracer = Tracer()
     if guard is None:
         guard = NOOP_METER
 
@@ -121,12 +123,9 @@ def seminaive(
         if fire_round0 is not None and not fire_round0[index]:
             continue
         head = rule.head.predicate
-        if traced:
-            with tracer.span("rule", head, round=0) as span:
-                derived = evaluate_rule(rule, ctx)
-                span.set(tuples_out=len(derived))
-        else:
+        with tracer.span("rule", head, round=0) as span:
             derived = evaluate_rule(rule, ctx)
+            span.set(tuples_out=len(derived))
         for row in derived.rows():
             if not targets[head].contains_positive(row):
                 last_delta[head].set_count(row, 1)
@@ -163,16 +162,12 @@ def seminaive(
             for variant, seed in variants:
                 if guard.enabled:
                     guard.checkpoint("seminaive.variant")
-                if traced:
-                    with tracer.span("rule", head, round=rounds) as span:
-                        derived = evaluate_rule(variant, round_ctx, seed=seed)
-                        span.set(tuples_out=len(derived))
-                else:
+                with tracer.span("rule", head, round=rounds) as span:
                     derived = evaluate_rule(variant, round_ctx, seed=seed)
+                    span.set(tuples_out=len(derived))
                 for row in derived.rows():
                     if not targets[head].contains_positive(row):
                         next_delta[head].set_count(row, 1)
         last_delta = next_delta
-    if traced:
-        tracer.event("seminaive_fixpoint", rounds=rounds, rules=len(rules))
+    tracer.event("seminaive_fixpoint", rounds=rounds, rules=len(rules))
     return added

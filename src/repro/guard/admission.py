@@ -42,9 +42,9 @@ def validate_changeset(maintainer, changes: Changeset) -> None:
     """Raise :class:`PoisonChangesetError` if ``changes`` is inadmissible.
 
     ``maintainer`` supplies the schema context: the program's derived
-    predicates, the stored base relations, and the strategy (DRed runs
-    set semantics over the base relations, so over-deletion means
-    "row absent"; counting means "more copies than stored").
+    predicates, the stored base relations, and the set-only rule (DRed
+    and B/F run set semantics over the base relations, so over-deletion
+    means "row absent"; counting means "more copies than stored").
     """
     derived = maintainer.normalized.program.idb_predicates
     for name, delta in changes:
@@ -68,7 +68,7 @@ def validate_changeset(maintainer, changes: Changeset) -> None:
                     f"stores arity {arity}",
                     relation=name,
                 )
-        if maintainer.strategy == "dred":
+        if maintainer.set_only:
             for row, _count in delta.negative_items():
                 if stored is None or not stored.contains_positive(row):
                     raise PoisonChangesetError(

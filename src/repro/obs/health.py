@@ -30,8 +30,7 @@ list, a ``{"slos": [...]}`` document, or a JSON string, so specs can
 live in config files the orchestrator reads.
 
 Disabled-by-default discipline: a maintainer without a health engine
-pays one ``is None`` check per pass (bench-gated < 5% in
-``benchmarks/bench_plan_cache.py``).
+pays one ``is None`` check per pass.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ recent pass — so a fat tail in the profile links straight to a concrete
 trace in the ring sink (``repro profile`` renders it).
 
 Disabled-by-default discipline: an unattached maintainer pays one
-``is None`` check per pass (bench-gated with the health engine in
-``benchmarks/bench_plan_cache.py``).
+``is None`` check per pass (enabled, it is part of the ``tax.obs_ms``
+row in ``benchmarks/e2e/README.md``).
 """
 
 from __future__ import annotations

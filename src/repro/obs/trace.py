@@ -15,8 +15,7 @@ span tree:
 
 Spans flow to a pluggable **sink**:
 
-* :class:`NullSink` — discards everything (the "tracing off"
-  configuration; the bench guard proves it costs < 5%);
+* :class:`NullSink` — discards everything;
 * :class:`RingSink` — a bounded in-memory buffer (`cli trace` tails it);
 * :class:`JsonlSink` — an append-only JSONL event log;
 * :class:`TeeSink` — fan-out to several sinks.
@@ -25,8 +24,8 @@ A tracer constructed with no sink is *disabled*: every ``span()`` call
 returns a shared no-op span without touching the clock, so leaving the
 instrumentation hooks in hot paths is free.  ``Tracer(NullSink())`` by
 contrast is *enabled-but-discarding* — the full span machinery runs and
-the sink drops the events — which is what the overhead guard in
-``benchmarks/bench_plan_cache.py`` measures.
+the sink drops the events.  What tracing costs enabled is the
+``tax.obs_ms`` row of the tax table in ``benchmarks/e2e/README.md``.
 
 Event schema (one JSON object per span/event)::
 
@@ -246,7 +245,7 @@ class Tracer:
     and nothing ever reaches a sink.  ``Tracer(sink)`` is enabled, even
     for a :class:`NullSink` — that configuration exists so the cost of
     the full span machinery can be measured against the disabled fast
-    path (the < 5% overhead budget).
+    path.
     """
 
     __slots__ = ("sink", "enabled", "_stack", "_id")

@@ -68,13 +68,13 @@ class RepairReport:
 def view_matches(maintainer, actual: CountedRelation, expected: CountedRelation) -> bool:
     """The comparator :meth:`consistency_check` uses, shared with repair.
 
-    Under duplicate semantics (and under counting, whose stored counts
-    are meaningful) the full multiplicities must match; under DRed's set
-    semantics only the set projections must.
+    Counting's stored counts are meaningful (under either semantics), so
+    the full multiplicities must match; the set-only strategies answer
+    for the set projections alone.
     """
-    if maintainer.semantics == "duplicate" or maintainer.strategy == "counting":
-        return actual.to_dict() == expected.to_dict()
-    return actual.as_set() == expected.as_set()
+    if maintainer.set_only:
+        return actual.as_set() == expected.as_set()
+    return actual.to_dict() == expected.to_dict()
 
 
 def repair_divergence(
@@ -96,7 +96,6 @@ def repair_divergence(
     runs in one autocommitted epoch, so pinned snapshot readers see
     either the damaged state or the healed state, never a mix.
     """
-    from repro.eval.stratified import materialize
     from repro.storage.mvcc import autocommit
 
     mvcc = maintainer.database.mvcc
@@ -109,43 +108,28 @@ def repair_divergence(
                 + (" with a pass in flight" if mvcc.in_flight else "")
                 + "; re-run consistency_check()"
             )
-    fresh = materialize(
-        maintainer.normalized.program,
-        maintainer.database,
-        semantics=maintainer.semantics,
-        stratification=maintainer.stratification,
-    )
     report = RepairReport()
-    damaged = []
-    for name, expected in fresh.items():
-        if maintainer.strategy == "dred":
-            expected = expected.set_view(name)
+    damaged: Dict[str, CountedRelation] = {}
+    for name, expected in maintainer._rebuild_views().items():
         actual = maintainer.views.get(name)
-        if actual is None:
-            actual = CountedRelation(name, expected.arity)
-            maintainer.views[name] = actual
-        if view_matches(maintainer, actual, expected):
+        if actual is not None and view_matches(maintainer, actual, expected):
             continue
-        missing = expected.as_set() - actual.as_set()
-        extra = actual.as_set() - expected.as_set()
-        damaged.append((name, actual, expected))
-        report.healed[name] = (len(missing), len(extra))
+        stored = actual.as_set() if actual is not None else set()
+        damaged[name] = expected
+        report.healed[name] = (
+            len(expected.as_set() - stored), len(stored - expected.as_set())
+        )
     if damaged:
         # One epoch for the whole patch set: snapshot readers see the
         # damaged state or the healed state, never a mix (a clean heal
-        # commits nothing and bumps no epoch).
+        # commits nothing and bumps no epoch).  Aggregate group states
+        # are derived caches over the (possibly damaged) grouped
+        # relations; adopting rebuilds them all from the repaired state
+        # rather than guessing which drifted.
         with autocommit(mvcc):
-            for _name, actual, expected in damaged:
-                actual.replace_rows(expected.to_dict())
-                actual.arity = expected.arity
-    if report.healed:
+            maintainer._adopt_views(damaged)
         if mvcc is not None:
-            maintainer._register_views()
             report.epoch = mvcc.epoch
-        # Aggregate group states are derived caches over the (possibly
-        # damaged) grouped relations; rebuild them all from the repaired
-        # state rather than guessing which drifted.
-        maintainer._init_aggregate_views()
         report.aggregates_reset = sorted(maintainer.aggregate_views)
         logger.warning("divergence repaired: %s", report.summary())
         get_default_registry().counter(

@@ -107,6 +107,9 @@ class VersionManager:
         #: Epochs older than this cannot be served (entries were dropped).
         self.min_readable = 0
         self._in_flight = False
+        # Seqlock for abort(): odd while rows are being restored, so a
+        # lock-free reader that overlapped an abort retries its copies.
+        self._abort_seq = 0
         self._lock = threading.RLock()
         self._registry: Dict[str, CountedRelation] = {}
         self._pins: Dict[int, int] = {}
@@ -241,8 +244,10 @@ class VersionManager:
     def abort(self) -> int:
         """Discard the uncommitted version: restore every pre-image.
 
-        Rows are restored *before* the pending maps are cleared, so a
-        reader racing the abort still finds every pre-image it needs.
+        An abort has no chain entry to leave behind, so a reader that
+        copied half-restored rows could find the pending map already
+        cleared; ``_abort_seq`` brackets the restore and
+        :meth:`materialize` retries any copy that overlapped it.
         No epoch is published.  Returns the number of rows restored.
         Idempotent with an undo-log unwind that already restored the
         same rows.
@@ -251,13 +256,17 @@ class VersionManager:
             if not self._in_flight:
                 return 0
             restored = 0
-            for relation in self._registry.values():
-                pending = relation._pending
-                if pending:
-                    for row, pre_image in pending.items():
-                        relation.set_count(row, pre_image)
-                    restored += len(pending)
-                relation._pending = None
+            self._abort_seq += 1
+            try:
+                for relation in self._registry.values():
+                    pending = relation._pending
+                    if pending:
+                        for row, pre_image in pending.items():
+                            relation.set_count(row, pre_image)
+                        restored += len(pending)
+                    relation._pending = None
+            finally:
+                self._abort_seq += 1
             self._in_flight = False
             self.aborts += 1
             if self.sanitizer is not None:
@@ -435,10 +444,14 @@ class VersionManager:
             raise UnknownRelationError(
                 f"no versioned relation named {name!r}"
             )
-        merged = dict(relation._rows)
-        pending = relation._pending
-        pending_copy = dict(pending) if pending is not None else None
-        chain = list(relation._versions)
+        while True:
+            seq = self._abort_seq
+            merged = dict(relation._rows)
+            pending = relation._pending
+            pending_copy = dict(pending) if pending is not None else None
+            chain = list(relation._versions)
+            if seq % 2 == 0 and seq == self._abort_seq:
+                break  # no abort() overlapped the copies
         if epoch < self.min_readable:
             with self._lock:
                 self._note_too_old()

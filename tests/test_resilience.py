@@ -13,9 +13,17 @@ import os
 
 import pytest
 
+from repro.core.dred import DRedMaintenance
 from repro.core.maintenance import ViewMaintainer
-from repro.errors import BudgetExceeded, DivergenceError, MaintenanceError
+from repro.errors import (
+    BudgetExceeded,
+    DivergenceError,
+    MaintenanceError,
+    PoisonChangesetError,
+)
 from repro.guard import GuardPolicy, MaintenanceBudget
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import RingSink, Tracer
 from repro.resilience import PHASES, FaultInjector, InjectedFault, UndoLog
 from repro.storage.changeset import Changeset
 from repro.storage.database import Database
@@ -64,9 +72,14 @@ STRATEGY_PHASES = [
 ]
 
 
-def build(source, strategy, semantics="set", links=EXAMPLE_1_1_LINKS):
+def build(
+    source, strategy, semantics="set", links=EXAMPLE_1_1_LINKS, mvcc=True,
+    **options
+):
+    database = Database(mvcc=mvcc)
+    database.insert_rows("link", links)
     maintainer = ViewMaintainer.from_source(
-        source, database_with(links), strategy=strategy, semantics=semantics
+        source, database, strategy=strategy, semantics=semantics, **options
     )
     return maintainer.initialize()
 
@@ -126,6 +139,48 @@ class TestCrashPointAtomicity:
         control.apply(MIXED)
 
         assert fingerprint(maintainer) == fingerprint(control)
+        maintainer.consistency_check()
+
+    @pytest.mark.parametrize("mvcc", [True, False])
+    @pytest.mark.parametrize("entrance", ["incremental", "fallback", "alter"])
+    def test_every_entrance_rolls_back_through_the_one_envelope(
+        self, entrance, mvcc, monkeypatch
+    ):
+        sink = RingSink()
+        maintainer = build(
+            COUNTING_SRC,
+            "counting",
+            mvcc=mvcc,
+            metrics=MetricsRegistry(),
+            tracer=Tracer(sink),
+            guard=GuardPolicy(force_fallback=entrance == "fallback"),
+        )
+        before = fingerprint(maintainer), maintainer.database.epoch
+
+        if entrance == "alter":
+            run = DRedMaintenance.run
+
+            def crash_after_run(self, changes):
+                run(self, changes)  # views rewritten: a real unwind
+                raise InjectedFault("mid-alter")
+
+            monkeypatch.setattr(DRedMaintenance, "run", crash_after_run)
+            with pytest.raises(InjectedFault):
+                maintainer.alter(add=["hop(X, Y) :- link(Y, X)."])
+        else:
+            maintainer.faults.arm(
+                "fallback_recompute" if entrance == "fallback"
+                else "count_merge"
+            )
+            with pytest.raises(InjectedFault):
+                maintainer.apply(MIXED)
+
+        assert (fingerprint(maintainer), maintainer.database.epoch) == before
+        assert maintainer.strategy == "counting"
+        assert maintainer.metrics.get("repro_rollbacks_total").value() == 1
+        events = [e["name"] for e in sink.events if e["kind"] == "event"]
+        assert events.count("rollback") == 1
+        assert events.count("mvcc_abort") == (1 if mvcc else 0)
         maintainer.consistency_check()
 
     def test_arbitrary_exception_also_rolls_back(self):
@@ -534,6 +589,40 @@ class TestSelfHealing:
         assert "nothing healed" in report.summary()
         assert maintainer.consistency_check(repair=True) is None
 
+    @pytest.mark.parametrize("strategy", ["counting", "dred", "bf"])
+    def test_heal_stores_the_counts_initialize_does(self, strategy):
+        """hop(a, d) has two derivations: counting stores 2, the
+        set-only strategies 1 — from ``heal()`` as from ``initialize()``."""
+        maintainer = build(
+            "hop(X, Y) :- link(X, Z), link(Z, Y).",
+            strategy,
+            links=[("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")],
+        )
+        stored = maintainer.views["hop"].to_dict()
+        assert stored == {("a", "d"): 2 if strategy == "counting" else 1}
+        maintainer.views["hop"].add(("z", "z"), 1)
+        maintainer.heal()
+        assert maintainer.views["hop"].to_dict() == stored
+
+    @pytest.mark.parametrize("strategy, source", [
+        ("counting", COUNTING_SRC), ("bf", DRED_SRC),
+    ])
+    def test_consistency_check_verdict_ignores_mvcc(self, strategy, source):
+        verdicts = []
+        for mvcc in (True, False):
+            maintainer = build(source, strategy, mvcc=mvcc)
+            assert maintainer.consistency_check() is None
+            view = "hop" if strategy == "counting" else "tc"
+            maintainer.views[view].add(("z", "z"), 1)
+            maintainer.views[view].discard(("a", "c"))
+            with pytest.raises(DivergenceError, match=view) as caught:
+                maintainer.consistency_check()
+            verdicts.append(str(caught.value).split(": ", 1)[1])
+            assert maintainer.consistency_check(repair=True).healed == {
+                view: (1, 1)
+            }
+        assert verdicts[0] == verdicts[1]
+
     def test_heal_restores_duplicate_counts(self):
         maintainer = build(COUNTING_SRC, "counting", semantics="duplicate")
         maintainer.views["hop"].set_count(("a", "c"), 99)
@@ -621,6 +710,23 @@ class TestGuardCheckpointAtomicity:
             assert report.strategy == "recompute"
             assert fingerprint(maintainer) == expected
             maintainer.consistency_check()
+
+    @pytest.mark.parametrize("strategy", ["dred", "bf"])
+    def test_admission_admits_what_the_set_only_engines_accept(
+        self, strategy
+    ):
+        """Deleting a stored row twice is one set-level delete to DRed
+        and B/F alike; only deleting an absent row is poison."""
+        twice = (
+            Changeset().delete("link", ("a", "b")).delete("link", ("a", "b"))
+        )
+        guarded = build(DRED_SRC, strategy, guard=GuardPolicy(admission=True))
+        control = build(DRED_SRC, strategy)
+        assert guarded.apply(twice).strategy == strategy
+        control.apply(twice)
+        assert fingerprint(guarded) == fingerprint(control)
+        with pytest.raises(PoisonChangesetError, match="not stored"):
+            guarded.apply(Changeset().delete("link", ("a", "b")))
 
     def test_fault_during_admission_leaves_state_identical(self, tmp_path):
         guard = GuardPolicy(quarantine_path=str(tmp_path / "q.dlq"))
