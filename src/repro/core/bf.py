@@ -44,7 +44,8 @@ per stratum:
    cone.  Insertions then propagate with the unchanged DRed step 3.
 
 The pass plugs into every cross-cutting layer exactly like DRed (whose
-machinery it inherits): shadow-commit undo via :attr:`_old` pre-images,
+machinery it inherits): old-state reads and shadow-commit undo through
+the row pre-images behind :attr:`_old` (never a copy of a relation),
 cooperative guard checkpoints (``bf.*``), crash points
 ``backward_check`` / ``forward_delete`` / ``count_merge``, span tracing
 (pass → stratum → forward/backward/insert phases with wave attributes)
@@ -442,7 +443,7 @@ class BFMaintenance(DRedMaintenance):
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 20_000))
         try:
-            return self._run(changes)
+            return super().run(changes)
         finally:
             sys.setrecursionlimit(limit)
 
@@ -678,7 +679,7 @@ class BFMaintenance(DRedMaintenance):
             )
             # No head guard literal: the stored-view post-filter below
             # already keeps candidates ⊆ the view, and a trailing guard
-            # would force a full-key index on the old-state copy without
+            # would add a full-key probe of the old state without
             # shrinking any join intermediate.
             for j, subgoal in enumerate(rule.body):
                 if frontier is None:

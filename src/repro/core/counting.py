@@ -525,7 +525,7 @@ class CountingMaintenance:
                 if relation is None:
                     undo.note_base_created(self.database, name)
                 else:
-                    undo.note_counts(relation, delta.rows())
+                    undo.note_counts(relation, delta)
         self.database.apply_changeset(changes)
         if self.faults is not None:
             self.faults.fire("count_merge")
@@ -534,9 +534,10 @@ class CountingMaintenance:
             if view is None:
                 continue  # base predicate: already applied via the changeset
             if undo is not None:
-                undo.note_counts(view, delta.rows())
+                undo.note_counts(view, delta)
             view.merge(delta)
-            view.assert_nonnegative()
+            # Lemma 4.1: only a row the delta merged can have gone negative.
+            view.check_nonnegative(delta)
 
 
 def _crossings(old: CountedRelation, delta: CountedRelation) -> CountedRelation:

@@ -60,7 +60,7 @@ from repro.guard.budget import NOOP_METER
 from repro.obs.trace import Tracer
 from repro.storage.changeset import Changeset
 from repro.storage.database import Database
-from repro.storage.relation import CountedRelation
+from repro.storage.relation import CountedRelation, PreImageView
 
 logger = logging.getLogger(__name__)
 
@@ -145,8 +145,8 @@ class DRedMaintenance:
         self.deletion_seeds = deletion_seeds if deletion_seeds is not None else {}
         #: Optional FaultInjector (crash-point testing) and UndoLog
         #: (shadow-commit rollback); both inert when None.  The undo log
-        #: piggybacks on :attr:`_old` — every relation DRed mutates is
-        #: copied there anyway, so crash safety costs nothing extra.
+        #: shares the pre-image maps behind :attr:`_old`, so crash safety
+        #: records nothing of its own.
         self.faults = faults
         self.undo = undo
         #: Optional PlanCache shared across passes by the maintainer.
@@ -159,8 +159,9 @@ class DRedMaintenance:
         #: sites, nothing in the semi-naive inner loops.
         self.guard = guard if guard is not None else NOOP_METER
         self.stats = DRedStats()
-        #: Old versions of every relation changed so far (base and derived).
-        self._old: Dict[str, CountedRelation] = {}
+        #: The pre-pass state of every relation changed so far (base and
+        #: derived): read-through views over the rows' pre-images.
+        self._old: Dict[str, PreImageView] = {}
         #: Net set-level deletions/insertions per predicate, so far.
         self._del: Dict[str, CountedRelation] = {}
         self._add: Dict[str, CountedRelation] = {}
@@ -176,12 +177,12 @@ class DRedMaintenance:
         return Resolver(Resolver(self.database, self.views), self._old)
 
     def _save_old(self, predicate: str, relation: CountedRelation) -> None:
+        """Call before the pass first mutates ``relation``."""
         if predicate not in self._old:
-            old = relation.copy()
-            self._old[predicate] = old
+            old = self._old[predicate] = PreImageView(relation)
             if self.undo is not None:
-                # The copy doubles as the rollback pre-image, shared.
-                self.undo.note_rows(relation, old)
+                # The pre-images double as the rollback record, shared.
+                self.undo.note_rows(relation, old.pre_images)
 
     def _deletions_of(self, predicate: str) -> CountedRelation:
         found = self._del.get(predicate)
@@ -195,6 +196,14 @@ class DRedMaintenance:
 
     def run(self, changes: Changeset) -> DRedResult:
         """Execute the three DRed steps for every stratum, bottom-up."""
+        try:
+            return self._run(changes)
+        finally:
+            # Success or unwind: close the recorders this pass opened.
+            for old in self._old.values():
+                old.release()
+
+    def _run(self, changes: Changeset) -> DRedResult:
         started = time.perf_counter()
         tracer = self.tracer
         with tracer.span("phase", "seed"):

@@ -846,19 +846,25 @@ class ViewMaintainer:
             insertions=changes.insertion_count(),
             deletions=changes.deletion_count(),
         ) as span:
+            self._apply_base_changes_direct(changes, undo)
+            self.faults.fire("fallback_recompute")
+            fresh = self._rebuild_views()
             if undo is not None:
                 undo.note_mapping(self.views)
                 for name, relation in self.views.items():
-                    undo.note_rows(relation, old_views[name])
+                    if undo.track_rows:
+                        # Every row the patch can touch: 0 before for
+                        # the rows it adds, the old count for the rest.
+                        pre_images = dict.fromkeys(fresh.get(name, ()), 0)
+                        pre_images.update(old_views[name].items())
+                        undo.note_rows(relation, pre_images)
                     undo.note_attr(relation, "arity")
                 # _init_aggregate_views builds fresh AggregateView
                 # objects and reassigns the mapping entries; the old
                 # objects are never mutated, so restoring the mapping
                 # restores their states too.
                 undo.note_mapping(self.aggregate_views)
-            self._apply_base_changes_direct(changes, undo)
-            self.faults.fire("fallback_recompute")
-            self._adopt_views(self._rebuild_views())
+            self._adopt_views(fresh)
             self._append_journal(changes)
             span.set(seconds=time.perf_counter() - started)
         epoch = self._publish()
@@ -903,7 +909,7 @@ class ViewMaintainer:
                         undo.note_base_created(self.database, name)
                     relation = self.database.ensure_relation(name)
                 elif undo is not None:
-                    undo.note_counts(relation, delta.rows())
+                    undo.note_counts(relation, delta)
                 for row, count in sorted(
                     delta.items(), key=lambda item: repr(item[0])
                 ):
@@ -924,7 +930,7 @@ class ViewMaintainer:
                 if relation is None:
                     undo.note_base_created(self.database, name)
                 else:
-                    undo.note_counts(relation, delta.rows())
+                    undo.note_counts(relation, delta)
         # Validates arity and Lemma 4.1 before mutating anything.
         self.database.apply_changeset(changes)
 
@@ -1213,18 +1219,15 @@ class ViewMaintainer:
             with self._shadow_pass() as undo:
                 if undo is not None:
                     # Rule changes rewrite the program *and* rewrite
-                    # views in place; snapshot everything a failed
-                    # redefinition could have touched.  alter() is rare,
-                    # so whole-relation copies are acceptable here
-                    # (apply() never pays this).
+                    # views in place; note everything a failed
+                    # redefinition could have touched (the view rows
+                    # themselves are noted by the DRed pass below).
                     for attribute in (
                         "normalized", "program", "stratification",
                         "strategy", "views",
                     ):
                         undo.note_attr(self, attribute)
                     undo.note_mapping(self.views)
-                    for relation in self.views.values():
-                        undo.note_rows(relation, relation.copy())
                     undo.note_attr(self, "aggregate_views")
                     undo.note_mapping(self.aggregate_views)
                     for view in self.aggregate_views.values():
@@ -1234,7 +1237,7 @@ class ViewMaintainer:
                         undo.note_attr(view, "incremental_updates")
                         undo.note_attr(view, "recomputes")
                 new_normalized, new_strat, result = maintain_rule_changes(
-                    self, added, removed
+                    self, added, removed, undo
                 )
                 self.normalized = new_normalized
                 self.program = new_normalized.original

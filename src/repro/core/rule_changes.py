@@ -39,12 +39,14 @@ def maintain_rule_changes(
     maintainer,
     added: List[Rule],
     removed: List[Rule],
+    undo=None,
 ) -> Tuple[NormalizedProgram, Stratification, DRedResult]:
     """Apply rule changes to a :class:`ViewMaintainer`'s materializations.
 
     Mutates ``maintainer.views`` / ``maintainer.aggregate_views`` in
     place and returns the new normalized program, its stratification,
-    and the DRed result describing the net view changes.
+    and the DRed result describing the net view changes.  The DRed pass
+    notes the pre-image of every view row it touches in ``undo``.
     """
     old_program: Program = maintainer.program
     new_program = old_program.with_rules(added=added, removed=removed)
@@ -123,6 +125,7 @@ def maintain_rule_changes(
         old_rules=old_rules,
         full_round0_rules=added_set,
         deletion_seeds=seeds,
+        undo=undo,
         plan_cache=maintainer.plan_cache,
     )
     result = run.run(Changeset())

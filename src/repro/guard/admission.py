@@ -33,7 +33,7 @@ def _expected_arity(maintainer, name: str, stored) -> object:
             ) == name:
                 return len(args)
     if stored is not None:
-        for row in stored.rows():
+        for row in stored:
             return len(row)
     return None
 

@@ -11,14 +11,16 @@ pre-pass state byte-identically.
 
 The overhead is proportional to the *change*, not the database: a pass
 touching 10 rows records 10 pre-images, no matter how large the views
-are.  DRed already snapshots every relation it mutates (its ``_old``
-map); those snapshots are shared with the undo log, so DRed pays nothing
-extra.  On success the log is simply dropped.
+are.  DRed and B/F read their old state through the first-touch
+pre-image map each relation they mutate records
+(:class:`~repro.storage.relation.PreImageView`); that map is shared with
+the undo log, so old-state reads and rollback are one record.  On
+success the log is simply dropped.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from repro.storage.relation import CountedRelation, Row
 
@@ -67,16 +69,20 @@ class UndoLog:
         for row in rows:
             ops.append(("count", relation, row, count(row)))
 
-    def note_rows(self, relation: CountedRelation, old: CountedRelation) -> None:
-        """Record a full pre-image of ``relation`` (``old`` is a copy).
+    def note_rows(
+        self, relation: CountedRelation, pre_images: Mapping[Row, int]
+    ) -> None:
+        """Share a pre-image map of ``relation``: ``{row: count before}``.
 
-        Used where a whole-relation copy already exists (DRed's
-        ``_old`` map) or where fine-grained notes are not worth it
-        (rule-change maintenance).  The copy is shared, not re-copied.
+        One entry however many rows the pass goes on to touch: the map
+        is the one the relation itself fills in ahead of each mutation
+        while it records (DRed's and B/F's old state reads through the
+        same map), or one built by a caller that knows every row it is
+        about to change (the recompute fallback).  Shared, not copied.
         """
         if not self.track_rows:
             return
-        self._ops.append(("rows", relation, old))
+        self._ops.append(("rows", relation, pre_images))
 
     def note_base_created(self, database, name: str) -> None:
         """Record that a base relation is about to be created."""
@@ -105,8 +111,9 @@ class UndoLog:
                 _, relation, row, old_count = op
                 relation.set_count(row, old_count)
             elif kind == "rows":
-                _, relation, old = op
-                relation.replace_rows(old.to_dict())
+                _, relation, pre_images = op
+                for row, before in pre_images.items():
+                    relation.set_count(row, before)
             elif kind == "drop_base":
                 _, database, name = op
                 if name in database:

@@ -27,6 +27,7 @@ a surprise full rebuild after the relation is reset or rolled back.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from repro.errors import MaintenanceError, SchemaError
@@ -118,7 +119,12 @@ class CountedRelation:
 
     def merge(self, other: "CountedRelation | Mapping[Row, int]") -> None:
         """In-place ⊎ with another counted relation (Section 3)."""
-        items = other.items() if isinstance(other, CountedRelation) else other.items()
+        if other is self:
+            items = list(self._rows.items())  # ⊎ with itself mutates the source
+        elif isinstance(other, CountedRelation):
+            items = other._rows.items()
+        else:
+            items = other.items()
         for row, count in items:
             self.add(row, count)
 
@@ -265,8 +271,19 @@ class CountedRelation:
         return delta
 
     def assert_nonnegative(self) -> None:
-        """Check the Lemma 4.1 invariant for stored materializations."""
-        for row, count in self._rows.items():
+        """Check the Lemma 4.1 invariant over every stored row."""
+        self.check_nonnegative(self._rows)
+
+    def check_nonnegative(self, rows: Iterable[Row]) -> None:
+        """Check the Lemma 4.1 invariant on ``rows`` only.
+
+        After ``merge(delta)`` a count can only have gone negative at a
+        row of ``delta``, so a maintenance pass checks those rows and
+        the cost tracks the change, not the materialization.
+        """
+        stored = self._rows
+        for row in rows:
+            count = stored.get(row, 0)
             if count < 0:
                 raise MaintenanceError(
                     f"stored relation {self.name or '<anon>'} holds row "
@@ -350,6 +367,107 @@ class CountedRelation:
         )
         suffix = ", ..." if len(self._rows) > 8 else ""
         return f"<{label} |{len(self._rows)}| {{{preview}{suffix}}}>"
+
+
+class PreImageView:
+    """A relation as it stood before the changes a pre-image map records.
+
+    Read-through, never a copy: ``live`` overlaid with ``pre_images``,
+    the first-touch map ``{row: count before}`` that ``live`` fills in
+    ahead of every mutation while it is recording (``_pending``).  With
+    no map given the view reads the recorder an MVCC epoch opened, or
+    opens one itself — :meth:`release` then closes it — so old-state
+    reads, rollback and MVCC share one record of what a pass changed.
+
+    It answers what the evaluator asks of a relation.  A probe costs the
+    live index probe, minus the rows born since, plus a probe of the
+    small indexed relation of touched rows that existed before; only a
+    scan (:meth:`items`) is sized by the relation.
+    """
+
+    __slots__ = ("live", "pre_images", "recording", "_size", "_touched", "_seen")
+
+    def __init__(
+        self,
+        live: CountedRelation,
+        pre_images: Optional[Dict[Row, int]] = None,
+    ) -> None:
+        self.live = live
+        if pre_images is None:
+            pre_images = live._pending
+        #: True when this view opened the recorder (nobody else had).
+        self.recording = pre_images is None
+        if self.recording:
+            pre_images = live._pending = {}
+        self.pre_images = pre_images
+        # The pre-state's size never changes; the map is normally still
+        # empty here, so counting it once is free.
+        self._size = len(live) + sum(
+            (before != 0) - (row in live) for row, before in pre_images.items()
+        )
+        # Touched rows that existed before, indexed for lookup();
+        # ``_seen`` is how much of the (append-only) map it reflects.
+        self._touched = CountedRelation()
+        self._seen = 0
+
+    def release(self) -> None:
+        """Close the recorder if this view opened it; reads keep working."""
+        if self.recording:
+            self.recording = False
+            self.live._pending = None
+
+    @property
+    def arity(self) -> Optional[int]:
+        return self.live.arity
+
+    def count(self, row: Row) -> int:
+        before = self.pre_images.get(row)
+        return self.live.count(row) if before is None else before
+
+    def __contains__(self, row: Row) -> bool:
+        return self.count(row) != 0
+
+    def contains_positive(self, row: Row) -> bool:
+        return self.count(row) > 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def items(self) -> Iterator[Tuple[Row, int]]:
+        pre_images = self.pre_images
+        live = self.live
+        for row, count in live.items():
+            before = pre_images.get(row, count)
+            if before:
+                yield row, before
+        for row, before in list(pre_images.items()):
+            if before and row not in live:
+                yield row, before
+
+    def rows(self) -> Iterator[Row]:
+        return (row for row, _ in self.items())
+
+    def declare_index(self, positions: Tuple[int, ...]) -> None:
+        self.live.declare_index(positions)
+
+    def lookup(self, positions: Tuple[int, ...], key: Row) -> Iterable[Row]:
+        if not positions:
+            return self.rows()
+        live = self.live
+        rows = live.lookup(positions, key)
+        pre_images = self.pre_images
+        if not pre_images:
+            return rows
+        touched = self._touched
+        if self._seen != len(pre_images):
+            for row, before in islice(pre_images.items(), self._seen, None):
+                touched.add(row, before)
+            self._seen = len(pre_images)
+        found = [row for row in rows if pre_images.get(row, 1)]
+        found.extend(
+            row for row in touched.lookup(positions, key) if row not in live
+        )
+        return found
 
 
 def relation_from_rows(

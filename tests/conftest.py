@@ -102,6 +102,26 @@ tc(X, Y) :- tc(X, Z), link(Z, Y).
 """
 
 
+def indexed_reads(relation):
+    """What every declared index of ``relation`` answers, key by key."""
+    return {
+        positions: {
+            key: sorted(relation.lookup(positions, key))
+            for key in {tuple(row[p] for p in positions) for row in relation}
+        }
+        for positions in relation.declared_indexes()
+    }
+
+
+def stored_relations(maintainer):
+    """Every base relation and view of ``maintainer``, by name."""
+    database = maintainer.database
+    return {
+        **{name: database.relation(name) for name in database.names()},
+        **maintainer.views,
+    }
+
+
 def database_with(edges, relation="link") -> Database:
     db = Database()
     db.insert_rows(relation, edges)

@@ -31,7 +31,14 @@ from repro.storage.journal import Journal, recover
 from repro.storage.relation import CountedRelation
 from repro.storage.serialize import load_snapshot, snapshot_watermark
 
-from conftest import EXAMPLE_1_1_LINKS, HOP_TRI_SRC, TC_SRC, database_with
+from conftest import (
+    EXAMPLE_1_1_LINKS,
+    HOP_TRI_SRC,
+    TC_SRC,
+    database_with,
+    indexed_reads,
+    stored_relations,
+)
 
 pytestmark = pytest.mark.faults
 
@@ -139,6 +146,54 @@ class TestCrashPointAtomicity:
         control.apply(MIXED)
 
         assert fingerprint(maintainer) == fingerprint(control)
+        maintainer.consistency_check()
+
+    @pytest.mark.parametrize("mvcc", [True, False])
+    @pytest.mark.parametrize("strategy, source, phase", [
+        case for case in STRATEGY_PHASES
+        if case[0] in ("dred", "bf") and case[2] in (
+            "rederivation", "backward_check", "forward_delete",
+            "aggregate_merge",
+        )
+    ])
+    def test_rollback_through_pre_images_restores_indexes_and_closes(
+        self, strategy, source, phase, mvcc
+    ):
+        """DRed and B/F roll back through the rows' pre-images — the same
+        maps their old-state reads go through — with MVCC on (the open
+        epoch's recorder) and off (recorders the pass opens itself)."""
+
+        def state(maintainer):
+            return fingerprint(maintainer), {
+                name: indexed_reads(relation)
+                for name, relation in stored_relations(maintainer).items()
+            }
+
+        def no_recorder_left_open(maintainer):
+            return all(
+                relation._pending is None
+                for relation in stored_relations(maintainer).values()
+            )
+
+        maintainer = build(source, strategy, mvcc=mvcc)
+        control = build(source, strategy, mvcc=mvcc)
+        for warmed in (maintainer, control):  # compile plans, declare indexes
+            warmed.apply(Changeset().insert("link", ("x", "y")))
+        before = state(maintainer)
+
+        maintainer.faults.arm(phase)
+        with pytest.raises(InjectedFault):
+            maintainer.apply(MIXED)
+        assert maintainer.faults.fired == [phase]
+        assert state(maintainer) == before
+        assert no_recorder_left_open(maintainer)
+
+        retried, clean = maintainer.apply(MIXED), control.apply(MIXED)
+        assert no_recorder_left_open(maintainer)
+        assert {n: d.to_dict() for n, d in retried.view_deltas.items()} == {
+            n: d.to_dict() for n, d in clean.view_deltas.items()
+        }
+        assert state(maintainer) == state(control)
         maintainer.consistency_check()
 
     @pytest.mark.parametrize("mvcc", [True, False])
