@@ -61,8 +61,8 @@ view, not even transiently: the backward check never mutates anything
 
 from __future__ import annotations
 
+import functools
 import sys
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -109,9 +109,7 @@ class BFStats(DRedStats):
         alternative-derivation benchmark exists to show this staying
         near 1 while DRed's ratio explodes.
         """
-        if self.deleted == 0:
-            return float(self.candidates > 0) or 1.0
-        return self.candidates / self.deleted
+        return self._per_deletion(self.candidates)
 
 
 @dataclass
@@ -425,13 +423,21 @@ class _Prover:
 
 
 class BFMaintenance(DRedMaintenance):
-    """One B/F maintenance pass; create per changeset and call :meth:`run`."""
+    """One B/F maintenance pass; create per changeset and call :meth:`run`.
+
+    DRed's stratum loop with the delete step replaced: the
+    forward/backward wave loop of :meth:`_delete_step` instead of
+    overestimate-prune-rederive.
+    """
 
     checkpoint_prefix = "bf"
+    stratum_counters = ("candidates", "verified", "inserted")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.stats = BFStats()
+        #: Every wave's deletion candidates per predicate, for the result.
+        self._candidates: Dict[str, CountedRelation] = {}
 
     # -------------------------------------------------------------- the run
 
@@ -447,99 +453,18 @@ class BFMaintenance(DRedMaintenance):
         finally:
             sys.setrecursionlimit(limit)
 
-    def _run(self, changes: Changeset) -> BFResult:
-        started = time.perf_counter()
-        tracer = self.tracer
-        with tracer.span("phase", "seed"):
-            self._apply_base_changes(changes)
-            if self.faults is not None:
-                self.faults.fire("delta_derivation")
-        self.guard.checkpoint("bf.seed")
-        phases = self.stats.phase_seconds
-        phases["seed"] = time.perf_counter() - started
-
-        all_candidates: Dict[str, CountedRelation] = {}
-        new_by_stratum = self._group_by_stratum(self.normalized.program.rules)
-        old_by_stratum = self._group_by_stratum(self.old_rules)
-        for stratum in range(1, self.strat.max_stratum + 1):
-            new_rules = new_by_stratum.get(stratum, [])
-            old_rules = old_by_stratum.get(stratum, [])
-            if not new_rules and not old_rules:
-                continue
-            for rule in new_rules:
-                if rule.head.predicate in self.aggregate_views:
-                    self._maintain_aggregate(rule)
-            normal_new = [
-                rule
-                for rule in new_rules
-                if rule.head.predicate not in self.aggregate_views
-            ]
-            normal_old = [
-                rule
-                for rule in old_rules
-                if rule.head.predicate not in self.aggregate_views
-            ]
-            if not normal_new and not normal_old:
-                continue
-            self.guard.checkpoint("bf.stratum")
-            stratum_preds = {
-                rule.head.predicate for rule in normal_new + normal_old
-            }
-            with tracer.span(
-                "stratum", f"stratum {stratum}", stratum=stratum
-            ) as stratum_span:
-                candidates0 = self.stats.candidates
-                rederived0 = self.stats.rederived
-                cumulative = self._delete_phase(
-                    normal_new, normal_old, stratum_preds
-                )
-                for predicate, rows in cumulative.items():
-                    if rows:
-                        all_candidates[predicate] = rows
-                inserted0 = self.stats.inserted
-                tick = time.perf_counter()
-                with tracer.span("phase", "insert") as phase_span:
-                    inserted = self._step3_insert(normal_new, stratum_preds)
-                    if self.faults is not None:
-                        self.faults.fire("count_merge")
-                    phase_span.set(inserted=self.stats.inserted - inserted0)
-                phases["insert"] = (
-                    phases.get("insert", 0.0) + time.perf_counter() - tick
-                )
-                self._finalize_stratum(stratum_preds, cumulative, inserted)
-                stratum_span.set(
-                    candidates=self.stats.candidates - candidates0,
-                    verified=self.stats.rederived - rederived0,
-                    inserted=self.stats.inserted - inserted0,
-                )
-
-        self.stats.seconds = time.perf_counter() - started
-        idb = self.normalized.program.idb_predicates
-        self.stats.deleted = sum(
-            len(rel) for name, rel in self._del.items() if name in idb
-        )
+    def _result(self) -> BFResult:
+        result = super()._result()
         return BFResult(
-            deletions={
-                name: rel
-                for name, rel in self._del.items()
-                if rel and name in idb
-            },
-            insertions={
-                name: rel
-                for name, rel in self._add.items()
-                if rel and name in idb
-            },
-            stats=self.stats,
-            candidates={
-                name: rel
-                for name, rel in all_candidates.items()
-                if name in idb
-            },
+            result.deletions,
+            result.insertions,
+            self.stats,
+            candidates=self._idb(self._candidates),
         )
 
     # --------------------------------------------------------- the wave loop
 
-    def _delete_phase(
+    def _delete_step(
         self,
         new_rules: List[Rule],
         old_rules: List[Rule],
@@ -553,8 +478,7 @@ class BFMaintenance(DRedMaintenance):
         propagation through it.  The prover (and its memo tables) is
         shared across all waves of the stratum.
         """
-        phases = self.stats.phase_seconds
-        tracer = self.tracer
+        stats = self.stats
         cumulative = {
             predicate: CountedRelation(names.source("cand", predicate))
             for predicate in stratum_preds
@@ -570,55 +494,34 @@ class BFMaintenance(DRedMaintenance):
             ),
             rules_for=rules_for,
         )
-        if self.faults is not None:
-            self.faults.fire("backward_check")
 
         frontier: Optional[Dict[str, CountedRelation]] = None
-        checked_any = False
         while True:
             # ---- forward step: this wave's fresh candidates.
-            tick = time.perf_counter()
-            wave = self.stats.waves + 1
-            with tracer.span("phase", "forward", wave=wave) as phase_span:
-                collected = self._collect_candidates(
-                    old_rules, stratum_preds, frontier
+            wave = stats.waves + 1
+            with self.phase("forward", wave=wave) as phase_span:
+                fresh = self._collect_candidates(
+                    old_rules, stratum_preds, frontier, cumulative
                 )
-                fresh: Dict[str, CountedRelation] = {}
-                found = 0
-                for predicate, rows in collected.items():
-                    kept = cumulative[predicate]
-                    new_rows = CountedRelation(
-                        names.source("wave", predicate)
-                    )
-                    for row in rows.rows():
-                        if not kept.contains_positive(row):
-                            kept.set_count(row, 1)
-                            new_rows.set_count(row, 1)
-                    if new_rows:
-                        fresh[predicate] = new_rows
-                        found += len(new_rows)
+                found = sum(len(rows) for rows in fresh.values())
                 phase_span.set(candidates=found)
                 if found:
-                    self.stats.waves += 1
-                    self.stats.candidates += found
+                    stats.waves += 1
+                    stats.candidates += found
                     self.guard.tick(tuples=found)
-            phases["forward"] = (
-                phases.get("forward", 0.0) + time.perf_counter() - tick
-            )
             if not found:
                 break
-            self.guard.checkpoint("bf.wave")
+            self.checkpoint("wave")
+            self.faults.fire("backward_check")
 
             # ---- backward step: verify the fresh candidates in place.
-            tick = time.perf_counter()
             dead_by_pred: Dict[str, CountedRelation] = {}
-            with tracer.span(
-                "phase", "backward", wave=wave, candidates=found
+            with self.phase(
+                "backward", wave=wave, candidates=found
             ) as phase_span:
-                if not checked_any:
-                    self.stats.rules_fired += len(new_rules)
+                if frontier is None:  # the stratum's first check
+                    stats.rules_fired += len(new_rules)
                     self.guard.tick(rules=len(new_rules))
-                    checked_any = True
                 verified = 0
                 for predicate in sorted(fresh):
                     dead = CountedRelation(f"del({predicate})")
@@ -629,32 +532,21 @@ class BFMaintenance(DRedMaintenance):
                             dead.set_count(row, 1)
                     if dead:
                         dead_by_pred[predicate] = dead
-                self.stats.rederived += verified
+                stats.rederived += verified
                 phase_span.set(verified=verified)
-            phases["backward"] = (
-                phases.get("backward", 0.0) + time.perf_counter() - tick
-            )
 
             # ---- forward deletion: only disproven rows leave the view.
-            tick = time.perf_counter()
-            for predicate, dead in dead_by_pred.items():
-                view = self.views[predicate]
-                if self.guard.blowup_enabled:
-                    self.guard.observe_delta_ratio(
-                        predicate, len(dead), len(view)
-                    )
-                self._save_old(predicate, view)
-                for row in dead.rows():
-                    view.discard(row)
-            if self.faults is not None:
+            deleted = sum(len(rows) for rows in dead_by_pred.values())
+            with self.phase("forward", wave=wave, deleted=deleted):
+                self._prune(dead_by_pred)
                 self.faults.fire("forward_delete")
-            self.guard.checkpoint("bf.delete")
-            phases["forward"] = (
-                phases.get("forward", 0.0) + time.perf_counter() - tick
-            )
+                self.checkpoint("delete")
             if not dead_by_pred:
                 break  # every candidate survived: nothing propagates
             frontier = dead_by_pred
+        for predicate, rows in cumulative.items():
+            if rows:
+                self._candidates[predicate] = rows
         return cumulative
 
     def _collect_candidates(
@@ -662,63 +554,39 @@ class BFMaintenance(DRedMaintenance):
         rules: List[Rule],
         stratum_preds: set,
         frontier: Optional[Dict[str, CountedRelation]],
+        cumulative: Dict[str, CountedRelation],
     ) -> Dict[str, CountedRelation]:
-        """One bounded delta round: tuples whose derivations touch the frontier.
+        """One bounded delta round: fresh tuples whose derivations touch
+        the frontier, added to ``cumulative`` as they are found.
 
-        ``frontier is None`` means wave 1 (external drivers + deletion
-        seeds); afterwards the previous wave's *confirmed deletions*
-        drive same-stratum positions — verified survivors never
-        propagate.  Side subgoals read the pre-change state and results
-        are post-filtered to rows actually stored.
+        ``frontier is None`` means wave 1: external drivers only (with
+        no stratum predicates given, same-stratum subgoals, whose
+        deletions do not exist yet, drive nothing) plus deletion seeds.
+        Afterwards the previous wave's *confirmed deletions* drive
+        same-stratum positions — verified survivors never propagate.
+        Side subgoals read the pre-change state and results are
+        post-filtered to rows actually stored and not examined before.
         """
-        cand_rules: List[Rule] = []
         sources: Dict[str, CountedRelation] = {}
-        for rule in rules:
-            head = Literal(
-                names.source("cand", rule.head.predicate), rule.head.args
-            )
-            # No head guard literal: the stored-view post-filter below
-            # already keeps candidates ⊆ the view, and a trailing guard
-            # would add a full-key probe of the old state without
-            # shrinking any join intermediate.
-            for j, subgoal in enumerate(rule.body):
-                if frontier is None:
-                    replacement = self._external_driver(
-                        subgoal, stratum_preds, sources
-                    )
-                else:
-                    replacement = self._frontier_driver(
-                        subgoal, frontier, sources
-                    )
-                if replacement is None:
-                    continue
-                body = list(rule.body)
-                body[j] = replacement
-                cand_rules.append(Rule(head, tuple(body)))
+        head_name = functools.partial(names.source, "cand")
         if frontier is None:
-            # Rule-change seeds: every derivation of a removed rule is a
-            # deletion candidate for its head predicate.
-            for predicate in sorted(stratum_preds):
-                seed = self.deletion_seeds.get(predicate)
-                if not seed:
-                    continue
-                name = names.source("seed", predicate)
-                sources[name] = seed
-                arity = (
-                    seed.arity
-                    if seed.arity is not None
-                    else len(next(iter(seed)))
-                )
-                variables = tuple(Variable(f"V{i}") for i in range(arity))
-                cand_rules.append(
-                    Rule(
-                        Literal(names.source("cand", predicate), variables),
-                        (
-                            Literal(name, variables),
-                            Literal(predicate, variables),
-                        ),
-                    )
-                )
+            cand_rules = self._driven_rules(
+                rules,
+                head_name,
+                lambda subgoal: self._step1_driver(subgoal, set(), sources),
+                guarded=False,
+            ) + self._seed_rules(stratum_preds, head_name, sources)
+        else:
+            cand_rules = self._driven_rules(
+                rules,
+                head_name,
+                lambda subgoal: self._frontier_driver(subgoal, frontier, sources),
+                guarded=False,
+            )
+        # No head guard literal: the stored-view post-filter below
+        # already keeps candidates ⊆ the view, and a trailing guard
+        # would add a full-key probe of the old state without shrinking
+        # any join intermediate.
         if not cand_rules:
             return {}
 
@@ -741,48 +609,18 @@ class BFMaintenance(DRedMaintenance):
             tracer=self.tracer,
             guard=self.guard,
         )
-        candidates: Dict[str, CountedRelation] = {}
+        fresh: Dict[str, CountedRelation] = {}
         for predicate in stratum_preds:
-            rows = targets[names.source("cand", predicate)]
-            if not rows:
-                continue
             view = self.views[predicate]
-            kept = CountedRelation(names.source("cand", predicate))
-            for row in rows.rows():
-                if view.contains_positive(row):
+            kept = cumulative[predicate]
+            new_rows = CountedRelation(names.source("wave", predicate))
+            for row in targets[names.source("cand", predicate)].rows():
+                if view.contains_positive(row) and not kept.contains_positive(row):
                     kept.set_count(row, 1)
-            if kept:
-                candidates[predicate] = kept
-        return candidates
-
-    def _external_driver(
-        self,
-        subgoal: Subgoal,
-        stratum_preds: set,
-        sources: Dict[str, CountedRelation],
-    ) -> Optional[Literal]:
-        """Wave-1 driver: external deltas only, never the stratum itself."""
-        if not isinstance(subgoal, Literal):
-            return None
-        predicate = subgoal.predicate
-        if subgoal.negated:
-            # ¬q loses tuples exactly where q gained them.
-            gained = self._insertions_of(predicate)
-            if not gained:
-                return None
-            name = names.source("add", predicate)
-            sources[name] = gained
-            return Literal(name, subgoal.args)
-        if predicate in stratum_preds:
-            # Same-stratum deletions don't exist yet; later waves carry
-            # them as the frontier.
-            return None
-        lost = self._deletions_of(predicate)
-        if not lost:
-            return None
-        name = names.source("del", predicate)
-        sources[name] = lost
-        return Literal(name, subgoal.args)
+                    new_rows.set_count(row, 1)
+            if new_rows:
+                fresh[predicate] = new_rows
+        return fresh
 
     def _frontier_driver(
         self,

@@ -32,7 +32,6 @@ normalized program (Algorithm 6.1 via
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Literal as TypingLiteral, Optional, Set
 
@@ -44,12 +43,11 @@ from repro.core.delta_rules import (
     factored_delta_rules,
 )
 from repro.core.normalize import NormalizedProgram
+from repro.core.strategy_pass import StrategyPass
 from repro.datalog.stratify import Stratification
 from repro.errors import MaintenanceError
 from repro.eval.rule_eval import EvalContext, Resolver, evaluate_rule_into
 from repro.eval.stratified import Semantics
-from repro.guard.budget import NOOP_METER
-from repro.obs.trace import Tracer
 from repro.storage.changeset import Changeset
 from repro.storage.database import Database
 from repro.storage.relation import CountedRelation
@@ -146,8 +144,10 @@ def resolver_overrides_recipe(rule) -> tuple:
     return tuple(entries)
 
 
-class CountingMaintenance:
-    """One maintenance pass; create per changeset and call :meth:`run`."""
+class CountingMaintenance(StrategyPass):
+    """One counting pass; create per changeset and call :meth:`run`."""
+
+    checkpoint_prefix = "counting"
 
     def __init__(
         self,
@@ -159,11 +159,7 @@ class CountingMaintenance:
         semantics: Semantics = "set",
         mode: CountingMode = "expansion",
         prefilter_irrelevant: bool = True,
-        faults=None,
-        undo=None,
-        plan_cache=None,
-        tracer: Optional[Tracer] = None,
-        guard=None,
+        **plumbing,
     ) -> None:
         if stratification.is_recursive:
             from repro.analysis.checks import counting_on_recursive
@@ -176,37 +172,23 @@ class CountingMaintenance:
                 f"[{diagnostic.code}] {diagnostic.message}",
                 diagnostic=diagnostic,
             )
-        self.normalized = normalized
-        self.strat = stratification
-        self.database = database
-        self.views = views
-        self.aggregate_views = aggregate_views
+        super().__init__(
+            normalized, stratification, database, views, aggregate_views,
+            **plumbing,
+        )
         self.semantics = semantics
         self.mode = mode
         self.stats = CountingStats()
-        #: Optional FaultInjector (crash-point testing) and UndoLog
-        #: (shadow-commit rollback); both inert when None.
-        self.faults = faults
-        self.undo = undo
-        #: Span tracer (see repro.obs.trace); a disabled tracer's span()
-        #: calls cost one method call each, nothing more.
-        self.tracer = tracer if tracer is not None else Tracer()
-        #: Budget meter (see repro.guard.budget); same cost model as the
-        #: tracer — disabled checkpoints early-return, and the hottest
-        #: per-variant sites are skipped behind ``if guard.enabled:``.
-        self.guard = guard if guard is not None else NOOP_METER
-        #: Optional PlanCache shared across passes by the maintainer:
-        #: compiled plans, delta-variant rewrites, and the relevance
-        #: filter below are then reused instead of rebuilt per pass.
-        self.plan_cache = plan_cache
         #: [BCL89]-style pre-filter: base rows that provably cannot join
         #: into any rule are kept out of the delta propagation (the full
         #: changeset is still applied to the base relations).  Disabled
         #: only by the ablation benchmark.
         if not prefilter_irrelevant:
             self._relevance = None
-        elif plan_cache is not None:
-            self._relevance = plan_cache.relevance_filter(normalized.program)
+        elif self.plan_cache is not None:
+            self._relevance = self.plan_cache.relevance_filter(
+                normalized.program
+            )
         else:
             from repro.core.irrelevance import RelevanceFilter
 
@@ -283,18 +265,10 @@ class CountingMaintenance:
 
     # -------------------------------------------------------------- the run
 
-    def run(self, changes: Changeset) -> CountingResult:
-        """Execute Algorithm 4.1 and fold the deltas into the stored state."""
-        tracer = self.tracer
-        started = time.perf_counter()
-        with tracer.span("phase", "seed"):
-            self._seed_base_deltas(changes)
-            if self.faults is not None:
-                self.faults.fire("delta_derivation")
-        self.guard.checkpoint("counting.seed")
-        seeded = time.perf_counter()
-        self.stats.phase_seconds["seed"] = seeded - started
-
+    def _maintain(self, changes: Changeset) -> None:
+        """Algorithm 4.1 stratum by stratum, then fold into the store."""
+        # Reported even for a pass whose changes reach no stratum.
+        self.stats.phase_seconds["propagate"] = 0.0
         rules_by_stratum = self.strat.rules_by_stratum()
         for stratum in range(1, self.strat.max_stratum + 1):
             stratum_rules = rules_by_stratum[stratum]
@@ -307,28 +281,25 @@ class CountingMaintenance:
             }
             if not changed:
                 break  # nothing can change above this point
-            self.guard.checkpoint("counting.stratum")
+            self.checkpoint("stratum")
             pending: Dict[str, CountedRelation] = {}
-            with tracer.span(
+            with self.tracer.span(
                 "stratum", f"stratum {stratum}", stratum=stratum,
                 changed_predicates=len(changed),
-            ) as stratum_span, tracer.span("phase", "propagate"):
+            ) as stratum_span, self.phase("propagate"):
                 fired = self._propagate_stratum(
                     stratum_rules, changed, pending
                 )
                 stratum_span.set(
                     delta_tuples=sum(len(d) for d in pending.values())
                 )
+                self._commit_stratum(pending)
             if fired:
                 self.stats.strata_reached = stratum
-            self._commit_stratum(pending)
-
-        propagated = time.perf_counter()
-        self.stats.phase_seconds["propagate"] = propagated - seeded
-        with tracer.span("phase", "apply"):
+        with self.phase("apply"):
             self._apply_to_store(changes)
-        self.stats.phase_seconds["apply"] = time.perf_counter() - propagated
-        self.stats.seconds = time.perf_counter() - started
+
+    def _result(self) -> CountingResult:
         view_deltas = {
             name: delta
             for name, delta in self._store_deltas.items()
@@ -367,7 +338,7 @@ class CountingMaintenance:
                 fired = True
         return fired
 
-    def _seed_base_deltas(self, changes: Changeset) -> None:
+    def _seed(self, changes: Changeset) -> None:
         for name, delta in changes:
             if name in self.normalized.program.idb_predicates:
                 raise MaintenanceError(
@@ -426,6 +397,18 @@ class CountingMaintenance:
         self.guard.tick(rules=1)
         out = CountedRelation(names.delta(rule.head.predicate), rule.head.arity)
         unit = self._unit_policy if self.semantics == "set" else None
+        if self.tracer.enabled:
+            self._evaluate_traced(rule, changed, delta_rules, out, unit)
+        else:
+            self._evaluate_variants(delta_rules, out, unit, cache)
+        self.stats.delta_tuples_computed += len(out)
+        self.guard.tick(tuples=len(out))
+        self.checkpoint("rule")
+        return out if out else None
+
+    def _evaluate_traced(self, rule, changed, delta_rules, out, unit) -> None:
+        """:meth:`_evaluate_variants` inside a ``rule`` span."""
+        cache = self.plan_cache
         hits0, misses0, probes0 = (
             (cache.hits, cache.misses, cache.index_probes)
             if cache is not None else (0, 0, 0)
@@ -444,16 +427,12 @@ class CountingMaintenance:
                     cache_misses=cache.misses - misses0,
                     index_probes=cache.index_probes - probes0,
                 )
-        self.stats.delta_tuples_computed += len(out)
-        self.guard.tick(tuples=len(out))
-        self.guard.checkpoint("counting.rule")
-        return out if out else None
 
     def _evaluate_variants(self, delta_rules, out, unit, cache) -> None:
         guard = self.guard
         for delta_rule in delta_rules:
             if guard.enabled:
-                guard.checkpoint("counting.variant")
+                self.checkpoint("variant")
             resolver = self._build_resolver(delta_rule)
             ctx = EvalContext(resolver, unit_counts=unit, plan_cache=cache)
             evaluate_rule_into(delta_rule.rule, ctx, out, seed=delta_rule.seed)
@@ -485,8 +464,7 @@ class CountingMaintenance:
         ) as span:
             old_grouped = self._old_relation(grouped_pred)
             delta_t = view.maintain(old_grouped, delta, undo=self.undo)
-            if self.faults is not None:
-                self.faults.fire("aggregate_merge")
+            self.faults.fire("aggregate_merge")
             span.set(tuples_out=len(delta_t) if delta_t is not None else 0)
         return delta_t
 
@@ -517,7 +495,7 @@ class CountingMaintenance:
                 self._cascade[predicate] = delta
 
     def _apply_to_store(self, changes: Changeset) -> None:
-        self.guard.checkpoint("counting.apply")
+        self.checkpoint("apply")
         undo = self.undo
         if undo is not None:
             for name, delta in changes:
@@ -527,8 +505,7 @@ class CountingMaintenance:
                 else:
                     undo.note_counts(relation, delta)
         self.database.apply_changeset(changes)
-        if self.faults is not None:
-            self.faults.fire("count_merge")
+        self.faults.fire("count_merge")
         for predicate, delta in self._store_deltas.items():
             view = self.views.get(predicate)
             if view is None:

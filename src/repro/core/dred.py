@@ -43,21 +43,19 @@ database.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core import names
 from repro.core.agg_maintenance import AggregateView
 from repro.core.normalize import NormalizedProgram
+from repro.core.strategy_pass import StrategyPass
 from repro.datalog.ast import Literal, Rule, Subgoal
 from repro.datalog.terms import Variable
 from repro.datalog.stratify import Stratification
 from repro.errors import MaintenanceError
 from repro.eval.rule_eval import Resolver
 from repro.eval.seminaive import seminaive
-from repro.guard.budget import NOOP_METER
-from repro.obs.trace import Tracer
 from repro.storage.changeset import Changeset
 from repro.storage.database import Database
 from repro.storage.relation import CountedRelation, PreImageView
@@ -78,12 +76,18 @@ class DRedStats:
     #: Wall seconds per pass phase: seed / overestimate / rederive / insert.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
+    def _per_deletion(self, examined: int) -> float:
+        """``examined`` / |actual deletions|; 1.0 when nothing was examined.
+
+        A pass that examined tuples but deleted none overshot by all of
+        them, so the denominator floors at one deletion.
+        """
+        return examined / max(self.deleted, 1) if examined else 1.0
+
     @property
     def overdeletion_ratio(self) -> float:
         """|overestimate| / |actual deletions| (1.0 = no overshoot)."""
-        if self.deleted == 0:
-            return float(self.overestimated > 0) or 1.0
-        return self.overestimated / self.deleted
+        return self._per_deletion(self.overestimated)
 
 
 @dataclass
@@ -104,12 +108,12 @@ class DRedResult:
         return out
 
 
-class DRedMaintenance:
+class DRedMaintenance(StrategyPass):
     """One DRed maintenance pass; create per changeset and call :meth:`run`."""
 
-    #: Prefix for the cooperative guard checkpoints; subclasses (B/F)
-    #: override it so breach diagnostics name the strategy that tripped.
     checkpoint_prefix = "dred"
+    #: The per-stratum ``stats`` counters the ``stratum`` span reports.
+    stratum_counters = ("overestimated", "rederived", "inserted")
 
     def __init__(
         self,
@@ -121,17 +125,12 @@ class DRedMaintenance:
         old_rules: Optional[List[Rule]] = None,
         full_round0_rules: frozenset = frozenset(),
         deletion_seeds: Optional[Dict[str, CountedRelation]] = None,
-        faults=None,
-        undo=None,
-        plan_cache=None,
-        tracer: Optional[Tracer] = None,
-        guard=None,
+        **plumbing,
     ) -> None:
-        self.normalized = normalized
-        self.strat = stratification
-        self.database = database
-        self.views = views
-        self.aggregate_views = aggregate_views
+        super().__init__(
+            normalized, stratification, database, views, aggregate_views,
+            **plumbing,
+        )
         #: Rules that existed before the change — deletion propagation
         #: (step 1) must follow derivations as they *were* (rule-change
         #: maintenance passes the pre-change rule set here).
@@ -143,24 +142,11 @@ class DRedMaintenance:
         self.full_round0_rules = full_round0_rules
         #: Extra per-predicate deletion seeds (derivations of removed rules).
         self.deletion_seeds = deletion_seeds if deletion_seeds is not None else {}
-        #: Optional FaultInjector (crash-point testing) and UndoLog
-        #: (shadow-commit rollback); both inert when None.  The undo log
-        #: shares the pre-image maps behind :attr:`_old`, so crash safety
-        #: records nothing of its own.
-        self.faults = faults
-        self.undo = undo
-        #: Optional PlanCache shared across passes by the maintainer.
-        #: DRed rebuilds structurally-equal δ⁻/ρ/δ⁺ rules every pass, so
-        #: their compiled plans and semi-naive variant rewrites all hit.
-        self.plan_cache = plan_cache
-        self.tracer = tracer if tracer is not None else Tracer()
-        #: Budget meter (see repro.guard.budget); disabled meters cost
-        #: one early-returning call at the warm per-stratum/per-step
-        #: sites, nothing in the semi-naive inner loops.
-        self.guard = guard if guard is not None else NOOP_METER
         self.stats = DRedStats()
         #: The pre-pass state of every relation changed so far (base and
-        #: derived): read-through views over the rows' pre-images.
+        #: derived): read-through views over the rows' pre-images.  The
+        #: undo log shares the pre-image maps, so crash safety records
+        #: nothing of its own.
         self._old: Dict[str, PreImageView] = {}
         #: Net set-level deletions/insertions per predicate, so far.
         self._del: Dict[str, CountedRelation] = {}
@@ -197,123 +183,80 @@ class DRedMaintenance:
     def run(self, changes: Changeset) -> DRedResult:
         """Execute the three DRed steps for every stratum, bottom-up."""
         try:
-            return self._run(changes)
+            return super().run(changes)
         finally:
             # Success or unwind: close the recorders this pass opened.
             for old in self._old.values():
                 old.release()
 
-    def _run(self, changes: Changeset) -> DRedResult:
-        started = time.perf_counter()
-        tracer = self.tracer
-        with tracer.span("phase", "seed"):
-            self._apply_base_changes(changes)
-            if self.faults is not None:
-                self.faults.fire("delta_derivation")
-        self.guard.checkpoint(f"{self.checkpoint_prefix}.seed")
-        phases = self.stats.phase_seconds
-        phases["seed"] = time.perf_counter() - started
-
+    def _maintain(self, _changes: Changeset) -> None:
+        """Per stratum: aggregates, then delete, insert and finalize."""
+        stats = self.stats
         new_by_stratum = self._group_by_stratum(self.normalized.program.rules)
         old_by_stratum = self._group_by_stratum(self.old_rules)
         for stratum in range(1, self.strat.max_stratum + 1):
             new_rules = new_by_stratum.get(stratum, [])
-            old_rules = old_by_stratum.get(stratum, [])
-            if not new_rules and not old_rules:
-                continue
             for rule in new_rules:
                 if rule.head.predicate in self.aggregate_views:
                     self._maintain_aggregate(rule)
-            normal_new = [
-                rule
-                for rule in new_rules
-                if rule.head.predicate not in self.aggregate_views
-            ]
-            normal_old = [
-                rule
-                for rule in old_rules
-                if rule.head.predicate not in self.aggregate_views
-            ]
-            if normal_new or normal_old:
-                self.guard.checkpoint(f"{self.checkpoint_prefix}.stratum")
-                stratum_preds = {
-                    rule.head.predicate for rule in normal_new + normal_old
-                }
-                with tracer.span(
-                    "stratum", f"stratum {stratum}", stratum=stratum
-                ) as stratum_span:
-                    overestimated0 = self.stats.overestimated
-                    tick = time.perf_counter()
-                    with tracer.span("phase", "overestimate") as phase_span:
-                        overestimate = self._step1_overestimate(
-                            normal_old, stratum_preds
-                        )
-                        self._prune(overestimate)
-                        if self.faults is not None:
-                            self.faults.fire("rederivation")
-                        phase_span.set(
-                            overestimated=(
-                                self.stats.overestimated - overestimated0
-                            )
-                        )
-                    tock = time.perf_counter()
-                    phases["overestimate"] = (
-                        phases.get("overestimate", 0.0) + tock - tick
-                    )
-                    rederived0 = self.stats.rederived
-                    with tracer.span("phase", "rederive") as phase_span:
-                        self._step2_rederive(normal_new, overestimate)
-                        phase_span.set(
-                            rederived=self.stats.rederived - rederived0
-                        )
-                    tick = time.perf_counter()
-                    phases["rederive"] = (
-                        phases.get("rederive", 0.0) + tick - tock
-                    )
-                    inserted0 = self.stats.inserted
-                    with tracer.span("phase", "insert") as phase_span:
-                        inserted = self._step3_insert(
-                            normal_new, stratum_preds
-                        )
-                        if self.faults is not None:
-                            self.faults.fire("count_merge")
-                        phase_span.set(
-                            inserted=self.stats.inserted - inserted0
-                        )
-                    tock = time.perf_counter()
-                    phases["insert"] = (
-                        phases.get("insert", 0.0) + tock - tick
-                    )
-                    self._finalize_stratum(
-                        stratum_preds, overestimate, inserted
-                    )
-                    stratum_span.set(
-                        overestimated=(
-                            self.stats.overestimated - overestimated0
-                        ),
-                        rederived=self.stats.rederived - rederived0,
-                        inserted=self.stats.inserted - inserted0,
-                    )
+            normal_new = self._non_aggregate(new_rules)
+            normal_old = self._non_aggregate(old_by_stratum.get(stratum, []))
+            if not normal_new and not normal_old:
+                continue
+            self.checkpoint("stratum")
+            stratum_preds = {
+                rule.head.predicate for rule in normal_new + normal_old
+            }
+            with self.tracer.span(
+                "stratum", f"stratum {stratum}", stratum=stratum
+            ) as stratum_span:
+                before = [getattr(stats, name) for name in self.stratum_counters]
+                examined = self._delete_step(
+                    normal_new, normal_old, stratum_preds
+                )
+                inserted0 = stats.inserted
+                with self.phase("insert") as phase_span:
+                    inserted = self._step3_insert(normal_new, stratum_preds)
+                    self.faults.fire("count_merge")
+                    phase_span.set(inserted=stats.inserted - inserted0)
+                self._finalize_stratum(stratum_preds, examined, inserted)
+                stratum_span.set(**{
+                    name: getattr(stats, name) - then
+                    for name, then in zip(self.stratum_counters, before)
+                })
 
-        self.stats.seconds = time.perf_counter() - started
+    def _delete_step(
+        self, new_rules: List[Rule], old_rules: List[Rule], stratum_preds: set
+    ) -> Dict[str, CountedRelation]:
+        """Steps 1–2: overestimate and prune, then rederive survivors.
+
+        Returns the tuples the step examined (the overestimate); the
+        ones no longer stored are the stratum's deletions.
+        """
+        stats = self.stats
+        overestimated0 = stats.overestimated
+        with self.phase("overestimate") as phase_span:
+            overestimate = self._step1_overestimate(old_rules, stratum_preds)
+            self._prune(overestimate)
+            self.faults.fire("rederivation")
+            phase_span.set(overestimated=stats.overestimated - overestimated0)
+        rederived0 = stats.rederived
+        with self.phase("rederive") as phase_span:
+            self._step2_rederive(new_rules, overestimate)
+            phase_span.set(rederived=stats.rederived - rederived0)
+        return overestimate
+
+    def _result(self) -> DRedResult:
+        deletions = self._idb(self._del)
+        self.stats.deleted = sum(len(rel) for rel in deletions.values())
+        return DRedResult(deletions, self._idb(self._add), self.stats)
+
+    def _idb(
+        self, relations: Dict[str, CountedRelation]
+    ) -> Dict[str, CountedRelation]:
+        """The nonempty entries of ``relations`` for derived predicates."""
         idb = self.normalized.program.idb_predicates
-        self.stats.deleted = sum(
-            len(rel) for name, rel in self._del.items() if name in idb
-        )
-        result = DRedResult(
-            deletions={
-                name: rel
-                for name, rel in self._del.items()
-                if rel and name in self.normalized.program.idb_predicates
-            },
-            insertions={
-                name: rel
-                for name, rel in self._add.items()
-                if rel and name in self.normalized.program.idb_predicates
-            },
-            stats=self.stats,
-        )
-        return result
+        return {name: rel for name, rel in relations.items() if rel and name in idb}
 
     # ------------------------------------------------------------ sub-steps
 
@@ -324,7 +267,13 @@ class DRedMaintenance:
             grouped.setdefault(stratum, []).append(rule)
         return grouped
 
-    def _apply_base_changes(self, changes: Changeset) -> None:
+    def _non_aggregate(self, rules: List[Rule]) -> List[Rule]:
+        return [
+            rule for rule in rules
+            if rule.head.predicate not in self.aggregate_views
+        ]
+
+    def _seed(self, changes: Changeset) -> None:
         """Canonicalize to set semantics, save old states, update the edb."""
         for name, delta in changes:
             if name in self.normalized.program.idb_predicates:
@@ -361,36 +310,13 @@ class DRedMaintenance:
         self, rules: List[Rule], stratum_preds: set
     ) -> Dict[str, CountedRelation]:
         """Semi-naive computation of the δ⁻ overestimate for the stratum."""
-        delta_rules: List[Rule] = []
         sources: Dict[str, CountedRelation] = {}
-        for rule in rules:
-            head = Literal(
-                names.overestimate(rule.head.predicate), rule.head.args
-            )
-            guard = rule.head  # keeps δ⁻(p) ⊆ P
-            for j, subgoal in enumerate(rule.body):
-                replacement = self._step1_driver(subgoal, stratum_preds, sources)
-                if replacement is None:
-                    continue
-                body = list(rule.body)
-                body[j] = replacement
-                delta_rules.append(Rule(head, tuple(body) + (guard,)))
-        # Rule-change seeds: every derivation of a removed rule is a
-        # deletion candidate for its head predicate.
-        for predicate in sorted(stratum_preds):
-            seed = self.deletion_seeds.get(predicate)
-            if not seed:
-                continue
-            name = names.source("seed", predicate)
-            sources[name] = seed
-            arity = seed.arity if seed.arity is not None else len(next(iter(seed)))
-            variables = tuple(Variable(f"V{i}") for i in range(arity))
-            delta_rules.append(
-                Rule(
-                    Literal(names.overestimate(predicate), variables),
-                    (Literal(name, variables), Literal(predicate, variables)),
-                )
-            )
+        delta_rules = self._driven_rules(
+            rules,
+            names.overestimate,
+            lambda subgoal: self._step1_driver(subgoal, stratum_preds, sources),
+            guarded=True,  # keeps δ⁻(p) ⊆ P
+        ) + self._seed_rules(stratum_preds, names.overestimate, sources)
         if not delta_rules:
             return {}
 
@@ -415,8 +341,58 @@ class DRedMaintenance:
         overestimated = sum(len(r) for r in overestimate.values())
         self.stats.overestimated += overestimated
         self.guard.tick(tuples=overestimated)
-        self.guard.checkpoint(f"{self.checkpoint_prefix}.overestimate")
+        self.checkpoint("overestimate")
         return overestimate
+
+    @staticmethod
+    def _driven_rules(
+        rules: List[Rule],
+        head_name: Callable[[str], str],
+        driver: Callable[[Subgoal], Optional[Literal]],
+        guarded: bool,
+    ) -> List[Rule]:
+        """One rewritten rule per body position ``driver`` replaces.
+
+        The head is renamed by ``head_name``; a ``guarded`` rewrite
+        also re-checks the original head against the stored state.
+        """
+        out: List[Rule] = []
+        for rule in rules:
+            head = Literal(head_name(rule.head.predicate), rule.head.args)
+            guard = (rule.head,) if guarded else ()
+            for j, subgoal in enumerate(rule.body):
+                replacement = driver(subgoal)
+                if replacement is None:
+                    continue
+                body = list(rule.body)
+                body[j] = replacement
+                out.append(Rule(head, tuple(body) + guard))
+        return out
+
+    def _seed_rules(
+        self,
+        stratum_preds: set,
+        head_name: Callable[[str], str],
+        sources: Dict[str, CountedRelation],
+    ) -> List[Rule]:
+        """Rule-change seeds: every derivation of a removed rule is a
+        deletion candidate for its head predicate."""
+        out: List[Rule] = []
+        for predicate in sorted(stratum_preds):
+            seed = self.deletion_seeds.get(predicate)
+            if not seed:
+                continue
+            name = names.source("seed", predicate)
+            sources[name] = seed
+            arity = seed.arity if seed.arity is not None else len(next(iter(seed)))
+            variables = tuple(Variable(f"V{i}") for i in range(arity))
+            out.append(
+                Rule(
+                    Literal(head_name(predicate), variables),
+                    (Literal(name, variables), Literal(predicate, variables)),
+                )
+            )
+        return out
 
     def _step1_driver(
         self,
@@ -446,23 +422,20 @@ class DRedMaintenance:
         sources[name] = lost
         return Literal(name, subgoal.args)
 
-    def _prune(self, overestimate: Dict[str, CountedRelation]) -> int:
-        """Remove the overestimate from the stored materializations."""
-        pruned = 0
-        for predicate, rows in overestimate.items():
+    def _prune(self, doomed: Dict[str, CountedRelation]) -> None:
+        """Remove ``doomed`` rows from the stored materializations."""
+        for predicate, rows in doomed.items():
             if not rows:
                 continue
             view = self.views[predicate]
             if self.guard.blowup_enabled:
-                # Blowup heuristic before the prune touches the view: an
-                # overestimate rivaling the view itself means recompute
-                # would be cheaper than delete-and-rederive.
+                # Blowup heuristic before the prune touches the view: a
+                # deletion set rivaling the view itself means recompute
+                # would be cheaper.
                 self.guard.observe_delta_ratio(predicate, len(rows), len(view))
             self._save_old(predicate, view)
             for row in rows.rows():
-                if view.discard(row):
-                    pruned += 1
-        return pruned
+                view.discard(row)
 
     def _step2_rederive(
         self, rules: List[Rule], overestimate: Dict[str, CountedRelation]
@@ -500,7 +473,7 @@ class DRedMaintenance:
         count = sum(len(r) for r in rederived.values())
         self.stats.rederived += count
         self.guard.tick(tuples=count)
-        self.guard.checkpoint(f"{self.checkpoint_prefix}.rederive")
+        self.checkpoint("rederive")
         return rederived
 
     def _step3_insert(
@@ -569,7 +542,7 @@ class DRedMaintenance:
         count = sum(len(r) for r in inserted.values())
         self.stats.inserted += count
         self.guard.tick(tuples=count)
-        self.guard.checkpoint(f"{self.checkpoint_prefix}.insert")
+        self.checkpoint("insert")
         return inserted
 
     def _finalize_stratum(
@@ -613,8 +586,7 @@ class DRedMaintenance:
         if old_grouped is None:
             old_grouped = self._current_resolver().relation(grouped)
         delta_t = view.maintain(old_grouped, delta, undo=self.undo)
-        if self.faults is not None:
-            self.faults.fire("aggregate_merge")
+        self.faults.fire("aggregate_merge")
         if not delta_t:
             return
         stored = self.views[predicate]

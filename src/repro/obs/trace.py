@@ -1,13 +1,19 @@
 """Span tracer for maintenance passes: pass → stratum → phase → rule.
 
-The counting algorithm (Algorithm 4.1) and DRed (Section 7) are both
-phase- and stratum-structured, so their execution maps naturally onto a
-span tree:
+The counting algorithm (Algorithm 4.1), DRed (Section 7) and B/F are
+all phase- and stratum-structured, so their execution maps naturally
+onto a span tree:
 
 * ``pass`` — one :meth:`ViewMaintainer.apply` call;
 * ``stratum`` — one stratum of the stratification, bottom-up;
-* ``phase`` — seed / propagate / apply (counting), or seed /
-  overestimate / rederive / insert (DRed);
+* ``phase`` — ``seed`` once per pass, directly under ``pass``; then
+  per stratum ``propagate`` (counting, with one pass-level ``apply``
+  after the strata), ``overestimate`` / ``rederive`` / ``insert``
+  (DRed), or per wave ``forward`` (collect) / ``backward`` (verify) /
+  ``forward`` (delete), then ``insert`` (B/F).  Every phase span comes
+  from :meth:`repro.core.strategy_pass.StrategyPass.phase`, which also
+  times ``phase_seconds`` (the table in ``docs/algorithms.md`` places
+  each phase's fault points and guard checkpoints);
 * ``rule`` — one rule's delta evaluation, carrying tuples in/out,
   variant counts, plan-cache hits/misses, and index probes;
 * ``event`` — an instant marker (fault fired, dead letter, rollback,

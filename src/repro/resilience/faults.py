@@ -15,15 +15,17 @@ Every :class:`~repro.core.maintenance.ViewMaintainer` owns an injector
                           are updated, before view deltas are derived
 ``aggregate_merge``       after an aggregate view's group states were updated
 ``count_merge``           mid-install: base relations updated, stored view
-                          counts not yet (counting), or between DRed's
-                          insertion step and the stratum's finalization
+                          counts not yet (counting), or between the DRed /
+                          B/F insertion step and the stratum's finalization
 ``rederivation``          after DRed pruned the deletion overestimate, before
                           rederiving survivors
-``backward_check``        after B/F collected a wave's deletion candidates,
-                          before the backward alternative-derivation search
+``backward_check``        once per wave, after B/F's ``forward`` step found
+                          deletion candidates (and the ``bf.wave``
+                          checkpoint), before the ``backward`` search
                           verifies them
-``forward_delete``        after B/F confirmed a wave's genuine deletions,
-                          before propagating them forward to the next wave
+``forward_delete``        after B/F removed a wave's confirmed deletions
+                          from the view, before the ``bf.delete``
+                          checkpoint and the next wave
 ``journal_append``        after the pass computed, before the redo-log append
                           (fires once per retry attempt when journal retries
                           are configured)

@@ -21,6 +21,7 @@ that make B/F different from DRed rather than merely equal to it:
 
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -211,6 +212,24 @@ class TestTargeting:
         )
         assert candidates <= set(overestimate)
         assert bf.relation("tc").as_set() == dred.relation("tc").as_set()
+
+    @pytest.mark.parametrize("strategy, examined, ratio", [
+        ("dred", "overestimated", "overdeletion_ratio"),
+        ("bf", "candidates", "check_ratio"),
+    ])
+    def test_ratio_counts_examined_tuples_that_all_survived(
+        self, strategy, examined, ratio
+    ):
+        # tc(a,c) and tc(x,c) are examined and both survive via a-b-c.
+        maintainer = tc_maintainer(
+            [("a", "b"), ("b", "c"), ("a", "c"), ("x", "a")], strategy
+        )
+        report = maintainer.apply(Changeset().delete("link", ("a", "c")))
+        stats = report.engine_stats()
+        assert (getattr(stats, examined), stats.deleted) == (2, 0)
+        assert getattr(stats, ratio) == 2.0
+        report = maintainer.apply(Changeset().insert("link", ("c", "d")))
+        assert getattr(report.engine_stats(), ratio) == 1.0  # none examined
 
     def test_check_ratio_reported(self):
         maintainer = tc_maintainer([("a", "b"), ("b", "c")])

@@ -353,12 +353,12 @@ SRC = Path(repro.__file__).resolve().parent
 ALLOWED_WHOLE_RELATION_CALLS = {
     ("core/counting.py", "_new_relation", "copy"):
         "factored mode materializes ν-relations by design (ablation only)",
-    ("core/counting.py", "_seed_base_deltas", "copy"):
+    ("core/counting.py", "_seed", "copy"):
         "copies the changeset's own delta relations, sized by the change",
 }
 
 PASS_MODULES = (
-    "core/counting.py", "core/dred.py", "core/bf.py",
+    "core/strategy_pass.py", "core/counting.py", "core/dred.py", "core/bf.py",
     "core/agg_maintenance.py", "eval/seminaive.py", "eval/rule_eval.py",
 )
 

@@ -33,6 +33,8 @@ from repro.storage.changeset import Changeset
 from repro.storage.database import Database
 from repro.storage.relation import CountedRelation
 
+from conftest import TC_SRC
+
 HOP_SRC = "hop(X,Y) :- link(X,Z), link(Z,Y)."
 CHAIN_SRC = HOP_SRC + "\ntrihop(X,Y) :- hop(X,Z), link(Z,Y)."
 EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
@@ -410,6 +412,35 @@ class TestTracedMaintenance:
         assert ["pass", "stratum", "phase", "rule"] in paths
         kinds = {event["kind"] for event in events}
         assert {"pass", "stratum", "phase", "rule"} <= kinds
+
+    @pytest.mark.parametrize("strategy, phases", [
+        ("counting", {"seed", "propagate", "apply"}),
+        ("dred", {"seed", "overestimate", "rederive", "insert"}),
+        ("bf", {"seed", "forward", "backward", "insert"}),
+    ])
+    def test_phase_spans_add_up_to_phase_seconds(self, strategy, phases):
+        """One clock reading per phase feeds both the span and the stats:
+        a traced pass's phase spans sum to exactly its phase_seconds."""
+        ring = RingSink()
+        maintainer = maintainer_with(
+            CHAIN_SRC if strategy == "counting" else TC_SRC,
+            strategy=strategy,
+            tracer=Tracer(ring),
+        )
+        ring.clear()
+        report = maintainer.apply(
+            Changeset().delete("link", ("b", "c")).insert("link", ("d", "e"))
+        )
+        spans = {}
+        for event in ring.events:
+            if event["kind"] == "phase":
+                spans[event["name"]] = (
+                    spans.get(event["name"], 0.0) + event["seconds"]
+                )
+        seconds = report.engine_stats().phase_seconds
+        assert set(spans) == set(seconds) == phases
+        for name in phases:
+            assert spans[name] == pytest.approx(seconds[name], abs=1e-9)
 
     def test_rule_spans_carry_tuple_counts(self):
         ring = RingSink()

@@ -196,6 +196,29 @@ class TestCrashPointAtomicity:
         assert state(maintainer) == state(control)
         maintainer.consistency_check()
 
+    def test_backward_check_fires_after_a_wave_found_candidates(self):
+        """The documented crash state: a forward step has closed with
+        candidates, the backward search has not verified them yet."""
+        ring = RingSink()
+        maintainer = build(DRED_SRC, "bf", tracer=Tracer(ring))
+        maintainer.faults.arm("backward_check")
+        with pytest.raises(InjectedFault):
+            maintainer.apply(MIXED)
+        events = list(ring.events)
+        rollback = next(
+            i for i, event in enumerate(events)
+            if event["kind"] == "event" and event["name"] == "rollback"
+        )
+        assert any(
+            event["kind"] == "phase" and event["name"] == "forward"
+            and event["attrs"].get("candidates", 0) > 0
+            for event in events[:rollback]
+        )
+        assert not any(
+            event["kind"] == "phase" and event["name"] == "backward"
+            for event in events
+        )
+
     @pytest.mark.parametrize("mvcc", [True, False])
     @pytest.mark.parametrize("entrance", ["incremental", "fallback", "alter"])
     def test_every_entrance_rolls_back_through_the_one_envelope(
