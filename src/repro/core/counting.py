@@ -252,8 +252,7 @@ class CountingMaintenance(StrategyPass):
         cascade = self._cascade_of(predicate)
         if self.semantics == "set":
             flipped = CountedRelation(f"Δ¬({predicate})", cascade.arity)
-            for row, change in cascade.items():
-                flipped.add(row, -change)
+            flipped.absorb({row: -change for row, change in cascade.items()})
             return flipped
         return delta_neg_relation(self._old_relation(predicate), cascade)
 
@@ -323,18 +322,11 @@ class CountingMaintenance(StrategyPass):
         for rule in stratum_rules:
             head = rule.head.predicate
             if head in self.aggregate_views:
-                delta_t = self._maintain_aggregate(head, changed)
-                if delta_t is not None:
-                    pending.setdefault(
-                        head, CountedRelation(names.delta(head))
-                    ).merge(delta_t)
-                    fired = True
-                continue
-            contribution = self._apply_delta_rules(rule, changed)
+                contribution = self._maintain_aggregate(head, changed)
+            else:
+                contribution = self._apply_delta_rules(rule, changed)
             if contribution is not None:
-                pending.setdefault(
-                    head, CountedRelation(names.delta(head))
-                ).merge(contribution)
+                _collect(pending, head, contribution)
                 fired = True
         return fired
 
@@ -481,9 +473,7 @@ class CountingMaintenance(StrategyPass):
                 guard.observe_delta_ratio(
                     predicate, len(delta), len(self._old_relation(predicate))
                 )
-            self._store_deltas.setdefault(
-                predicate, CountedRelation(names.delta(predicate))
-            ).merge(delta)
+            _collect(self._store_deltas, predicate, delta)
             if self.semantics == "set":
                 old = self._old_relation(predicate)
                 crossings = _crossings(old, delta)
@@ -517,6 +507,22 @@ class CountingMaintenance(StrategyPass):
             view.check_nonnegative(delta)
 
 
+def _collect(
+    deltas: Dict[str, CountedRelation], predicate: str, delta: CountedRelation
+) -> None:
+    """⊎ ``delta`` into ``deltas[predicate]``; the first one is adopted.
+
+    ``delta`` is a fresh relation this pass owns and does not change
+    again, so the first contribution needs no copy.
+    """
+    held = deltas.get(predicate)
+    if held is None:
+        delta.name = names.delta(predicate)
+        deltas[predicate] = delta
+    else:
+        held.merge(delta)
+
+
 def _crossings(old: CountedRelation, delta: CountedRelation) -> CountedRelation:
     """``set(P ⊎ Δ) − set(P)`` as a signed relation (statement (2)).
 
@@ -524,12 +530,15 @@ def _crossings(old: CountedRelation, delta: CountedRelation) -> CountedRelation:
     count falls to 0; computed from the old counts and the delta without
     materializing the new state.
     """
-    out = CountedRelation(f"Δset({old.name})", old.arity)
+    count = old.count
+    crossed = {}
     for row, change in delta.items():
-        before = old.count(row)
+        before = count(row)
         after = before + change
         if before > 0 and after <= 0:
-            out.add(row, -1)
+            crossed[row] = -1
         elif before <= 0 and after > 0:
-            out.add(row, 1)
+            crossed[row] = 1
+    out = CountedRelation(f"Δset({old.name})", old.arity)
+    out.absorb(crossed)
     return out

@@ -12,8 +12,9 @@ A :class:`PlanCache` memoizes every compiled artifact that depends only
 on the *program*, not on the data:
 
 * **compiled plans** — the ordered body, per-position index key specs,
-  and seed, keyed by ``(rule, seed, adornment)`` where the adornment is
-  the set of initially-bound variables;
+  seed and the generated join kernel (:mod:`repro.eval.kernel`), keyed
+  by ``(rule, seed, adornment)`` where the adornment is the set of
+  initially-bound variables;
 * **delta-variant rewrites** — the expansion/factored delta rules of
   :mod:`repro.core.delta_rules` and the semi-naive one-delta-subgoal
   variants of :mod:`repro.eval.seminaive`;
@@ -22,7 +23,8 @@ on the *program*, not on the data:
 Index key specs referenced by a cached plan are *declared* on their
 relations (:meth:`~repro.storage.relation.CountedRelation.declare_index`)
 at compile time, so the indexes are built once and maintained
-incrementally instead of lazily rebuilt per query.
+incrementally instead of lazily rebuilt per query.  A literal keyed on
+every position declares nothing: it probes the row store itself.
 
 Keys are structural: :class:`~repro.datalog.ast.Rule` is a frozen
 dataclass, so the fresh-but-equal rule objects DRed constructs each pass
@@ -39,27 +41,19 @@ time; the order stays safe regardless of later growth).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
-from repro.datalog.ast import Literal, Rule, Subgoal
-from repro.datalog.safety import directly_bound_variables
-from repro.datalog.terms import Term
-from repro.eval.rule_eval import EvalContext, _key_spec, plan_body
+from repro.datalog.ast import Literal, Rule
+from repro.eval.rule_eval import (
+    CompiledPlan,
+    EvalContext,
+    compile_plan,
+    unit_signature,
+)
 
 logger = logging.getLogger(__name__)
 
-#: One positive literal's (positions, terms) index key spec.
-KeySpec = Tuple[Tuple[int, ...], Tuple[Term, ...]]
-
-
-@dataclass(frozen=True)
-class CompiledPlan:
-    """An evaluation-ready rule body: ordered subgoals + static key specs."""
-
-    order: Tuple[Subgoal, ...]
-    specs: Tuple[KeySpec, ...]
-    seed: Optional[int]
+__all__ = ["CompiledPlan", "PlanCache"]
 
 
 class PlanCache:
@@ -138,31 +132,20 @@ class PlanCache:
 
         ``adornment`` is the set of variable names bound before the body
         runs (non-empty only for provenance-style seeded evaluation); it
-        changes which positions are indexable, so it is part of the key.
+        changes which positions are indexable, so it is part of the key,
+        as is the count policy the context applies to each literal.  The
+        plan writes its join kernel on its first run.
         """
-        key = (rule, seed, adornment, self._size_signature(rule, ctx))
+        key = (
+            rule, seed, adornment, self._size_signature(rule, ctx),
+            unit_signature(rule, ctx),
+        )
         found = self._plans.get(key)
         if found is not None:
             self.hits += 1
             return found
         self.misses += 1
-        order = plan_body(rule.body, seed, ctx)
-        bound = set(adornment)
-        specs: List[KeySpec] = []
-        for subgoal in order:
-            if isinstance(subgoal, Literal) and not subgoal.negated:
-                spec = _key_spec(subgoal, bound)
-                specs.append(spec)
-                if spec[0]:
-                    # Declare the spec up front: built once here, then
-                    # maintained incrementally by every mutation.
-                    ctx.resolver.relation(subgoal.predicate).declare_index(
-                        spec[0]
-                    )
-            else:
-                specs.append(((), ()))
-            bound |= directly_bound_variables(subgoal, bound)
-        compiled = CompiledPlan(tuple(order), tuple(specs), seed)
+        compiled = compile_plan(rule, seed, adornment, ctx, declare=True)
         self._plans[key] = compiled
         return compiled
 

@@ -23,26 +23,34 @@ Key properties:
   "usually the most restrictive subgoal … used first in the join order",
   Section 6.1) to the front.
 * **Index-backed lookups.**  Positive literals probe hash indexes on the
-  statically-known bound positions instead of scanning.
+  statically-known bound positions instead of scanning; a literal whose
+  every position is known is a membership probe of the row store.
+* **Compiled.**  A plan runs as a generated straight-line function
+  (:mod:`repro.eval.kernel`), either ⊎-ing head rows into a dict
+  (:func:`evaluate_rule_into`) or yielding bindings (:func:`solutions`).
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.datalog.ast import Aggregate, Comparison, Literal, Rule, Subgoal
 from repro.datalog.safety import directly_bound_variables
 from repro.datalog.terms import Constant, Term, Variable
 from repro.errors import EvaluationError
 from repro.eval.aggregates import get_aggregate_function
+from repro.eval.kernel import EMPTY as _EMPTY
+from repro.eval.kernel import KeySpec, build_kernel
 from repro.storage.database import Database
 from repro.storage.relation import CountedRelation, Row
 
 #: Signature of the per-predicate count policy; True → each row counts 1.
 UnitCountPolicy = Callable[[str], bool]
 
+#: Comparison operators, for code that tests a comparison outside a plan.
 _COMPARE = {
     "=": operator.eq,
     "!=": operator.ne,
@@ -51,8 +59,6 @@ _COMPARE = {
     ">": operator.gt,
     ">=": operator.ge,
 }
-
-_EMPTY = CountedRelation("∅")
 
 
 class Resolver:
@@ -82,9 +88,8 @@ class Resolver:
             return _EMPTY
         if isinstance(base, Resolver):
             return base.relation(name)
-        if isinstance(base, Database):
-            return base.get(name) or _EMPTY
-        return base.get(name, _EMPTY)
+        found = base.get(name)
+        return _EMPTY if found is None else found
 
     def bind(self, name: str, relation: CountedRelation) -> None:
         self.overrides[name] = relation
@@ -92,16 +97,6 @@ class Resolver:
     def layered(self) -> "Resolver":
         """A child resolver whose new overrides do not leak into this one."""
         return Resolver(self)
-
-
-@dataclass(frozen=True)
-class _PlannedLiteral:
-    """A positive literal with its statically-known bound positions."""
-
-    literal: Literal
-    # Positions whose value is computable before matching: constant args,
-    # ground expressions, or variables bound earlier in the plan.
-    key_positions: Tuple[int, ...]
 
 
 class EvalContext:
@@ -365,13 +360,11 @@ def plan_body(
 
 
 # --------------------------------------------------------------------------
-# Execution
+# Compiled plans
 # --------------------------------------------------------------------------
 
 
-def _key_spec(
-    literal: Literal, bound: set
-) -> Tuple[Tuple[int, ...], Tuple[Term, ...]]:
+def _key_spec(literal: Literal, bound: set) -> KeySpec:
     """Positions/terms usable as an index key given bound variables."""
     positions: List[int] = []
     terms: List[Term] = []
@@ -386,87 +379,124 @@ def _key_spec(
     return tuple(positions), tuple(terms)
 
 
-def _eval_positive_literal(
-    literal: Literal,
-    binding: Dict[str, object],
-    ctx: EvalContext,
-    key_positions: Tuple[int, ...],
-    key_terms: Tuple[Term, ...],
-) -> Iterator[Tuple[Dict[str, object], int]]:
-    relation = ctx.resolver.relation(literal.predicate)
-    if key_positions:
-        key = tuple(term.evaluate(binding) for term in key_terms)
-        rows = relation.lookup(key_positions, key)
-        if ctx.plan_cache is not None:
-            ctx.plan_cache.index_probes += 1
-    else:
-        rows = relation.rows()
-    for row in rows:
-        extended = match_args(literal.args, row, binding)
-        if extended is None:
-            continue
-        count = ctx.row_count(literal.predicate, relation, row)
-        if count:
-            yield extended, count
-
-
-def _eval_negated_literal(
-    literal: Literal, binding: Dict[str, object], ctx: EvalContext
-) -> Iterator[Tuple[Dict[str, object], int]]:
-    relation = ctx.resolver.relation(literal.predicate)
-    row = tuple(arg.evaluate(binding) for arg in literal.args)
-    if not relation.contains_positive(row):
-        yield binding, 1
-
-
-def _eval_comparison(
-    comparison: Comparison, binding: Dict[str, object]
-) -> Iterator[Tuple[Dict[str, object], int]]:
-    if comparison.op == "=":
-        left_ready = comparison.left.variables() <= binding.keys()
-        right_ready = comparison.right.variables() <= binding.keys()
-        if left_ready and not right_ready and isinstance(comparison.right, Variable):
-            value = comparison.left.evaluate(binding)
-            extended = dict(binding)
-            extended[comparison.right.name] = value
-            yield extended, 1
-            return
-        if right_ready and not left_ready and isinstance(comparison.left, Variable):
-            value = comparison.right.evaluate(binding)
-            extended = dict(binding)
-            extended[comparison.left.name] = value
-            yield extended, 1
-            return
-    left = comparison.left.evaluate(binding)
-    right = comparison.right.evaluate(binding)
-    try:
-        ok = _COMPARE[comparison.op](left, right)
-    except TypeError as exc:
-        raise EvaluationError(
-            f"cannot compare {left!r} {comparison.op} {right!r}: {exc}"
-        ) from exc
-    if ok:
-        yield binding, 1
-
-
-def _eval_aggregate(
-    aggregate: Aggregate, binding: Dict[str, object], ctx: EvalContext
-) -> Iterator[Tuple[Dict[str, object], int]]:
-    relation = ctx.aggregate_relation(aggregate)
-    exported: Tuple[Term, ...] = tuple(aggregate.group_by) + (aggregate.result,)
-    bound = {name for name in binding}
-    key_positions, key_terms = _key_spec(
-        Literal("", exported), bound
+def unit_signature(rule: Rule, ctx: EvalContext) -> Optional[Tuple[bool, ...]]:
+    """The count policy of each positive body literal, in body order."""
+    policy = ctx.unit_counts
+    if policy is None:
+        return None
+    return tuple(
+        bool(policy(subgoal.predicate))
+        for subgoal in rule.body
+        if type(subgoal) is Literal and not subgoal.negated
     )
-    if key_positions:
-        key = tuple(term.evaluate(binding) for term in key_terms)
-        rows = relation.lookup(key_positions, key)
-    else:
-        rows = relation.rows()
-    for row in rows:
-        extended = match_args(exported, row, binding)
-        if extended is not None:
-            yield extended, relation.count(row)
+
+
+class CompiledPlan:
+    """An evaluation-ready rule body and its join kernels.
+
+    ``order`` is the planned body, ``specs`` the static index key spec
+    of each positive literal in it (``((), ())`` elsewhere), ``units``
+    each subgoal's unit-count flag, ``adornment`` the variables bound
+    before the body runs.  The two kernels (head rows, bindings) are
+    generated on first use.
+    """
+
+    __slots__ = (
+        "order", "specs", "seed", "adornment", "units", "_head", "_bindings",
+    )
+
+    def __init__(
+        self,
+        order: Tuple[Subgoal, ...],
+        specs: Tuple[KeySpec, ...],
+        seed: Optional[int],
+        adornment: FrozenSet[str],
+        units: Tuple[bool, ...],
+    ) -> None:
+        self.order = order
+        self.specs = specs
+        self.seed = seed
+        self.adornment = adornment
+        self.units = units
+        self._head = None
+        self._bindings = None
+
+    def head_kernel(self, head: Tuple[Term, ...]):
+        """``kernel(ctx, acc) -> probes`` ⊎-ing head rows into ``acc``."""
+        kernel = self._head
+        if kernel is None:
+            kernel = self._head = build_kernel(
+                self.order, self.specs, self.adornment, self.units, head
+            )
+        return kernel
+
+    def bindings_kernel(self):
+        """``kernel(ctx, binding, counter)``: a generator of solutions."""
+        kernel = self._bindings
+        if kernel is None:
+            kernel = self._bindings = build_kernel(
+                self.order, self.specs, self.adornment, self.units, None
+            )
+        return kernel
+
+
+def compile_plan(
+    rule: Rule,
+    seed: Optional[int],
+    adornment: FrozenSet[str],
+    ctx: EvalContext,
+    declare: bool = False,
+) -> CompiledPlan:
+    """Plan ``rule``'s body and derive each literal's key spec.
+
+    With ``declare`` the partial key specs are declared on their
+    relations (built now, maintained by every mutation after).  A
+    literal keyed on every position needs no index: it is a membership
+    probe of the row store.
+    """
+    order = plan_body(rule.body, seed, ctx)
+    policy = ctx.unit_counts
+    bound = set(adornment)
+    specs: List[KeySpec] = []
+    units: List[bool] = []
+    for subgoal in order:
+        positive = type(subgoal) is Literal and not subgoal.negated
+        if positive:
+            spec = _key_spec(subgoal, bound)
+            if declare and spec[0] and len(spec[0]) < len(subgoal.args):
+                relation = ctx.resolver.relation(subgoal.predicate)
+                if relation is not _EMPTY:
+                    relation.declare_index(spec[0])
+            specs.append(spec)
+        else:
+            specs.append(((), ()))
+        units.append(
+            positive and policy is not None and bool(policy(subgoal.predicate))
+        )
+        bound |= directly_bound_variables(subgoal, bound)
+    return CompiledPlan(tuple(order), tuple(specs), seed, adornment, tuple(units))
+
+
+def _plan(
+    rule: Rule, seed: Optional[int], adornment: FrozenSet[str], ctx: EvalContext,
+) -> CompiledPlan:
+    if ctx.plan_cache is not None:
+        return ctx.plan_cache.plan(rule, seed, adornment, ctx)
+    return compile_plan(rule, seed, adornment, ctx)
+
+
+class _Uncounted:
+    """Probe counter for evaluations run without a plan cache."""
+
+    __slots__ = ("index_probes",)
+
+    def __init__(self) -> None:
+        self.index_probes = 0
+
+
+# --------------------------------------------------------------------------
+# Execution
+# --------------------------------------------------------------------------
 
 
 def solutions(
@@ -474,7 +504,7 @@ def solutions(
     ctx: EvalContext,
     seed: Optional[int] = None,
     initial_binding: Optional[Dict[str, object]] = None,
-    compiled=None,
+    compiled: Optional[CompiledPlan] = None,
 ) -> Iterator[Tuple[Dict[str, object], int]]:
     """All body solutions of ``rule`` as ``(binding, count)`` pairs.
 
@@ -482,62 +512,20 @@ def solutions(
     order (used for Δ-subgoals).  Counts are products of per-subgoal
     counts and may be negative when delta relations participate.
 
-    With ``ctx.plan_cache`` set, the join order and key specs come from
-    the compiled-plan cache (planned once per (rule, seed, adornment));
-    otherwise they are recomputed per call.  Callers issuing many
-    point-queries against one rule (e.g. the B/F backward check) can
-    pass a ``compiled`` plan directly and skip even the cache lookup —
-    the per-call rule hash and size-signature probe dominate tiny
-    fully-bound queries.
+    With ``ctx.plan_cache`` set, the plan (and its kernel) comes from
+    the cache, planned once per (rule, seed, adornment); otherwise it is
+    planned per call.  Callers issuing many point-queries against one
+    rule (e.g. the B/F backward check) can pass a ``compiled`` plan made
+    with the adornment of ``initial_binding`` and skip even the cache
+    lookup.
     """
     start = initial_binding if initial_binding is not None else {}
-    if compiled is not None:
-        plan: Sequence[Subgoal] = compiled.order
-        specs: Sequence[Tuple[Tuple[int, ...], Tuple[Term, ...]]] = (
-            compiled.specs
-        )
-    elif ctx.plan_cache is not None:
-        compiled = ctx.plan_cache.plan(
+    if compiled is None:
+        compiled = _plan(
             rule, seed, _EMPTY_ADORNMENT if not start else frozenset(start), ctx
         )
-        plan: Sequence[Subgoal] = compiled.order
-        specs: Sequence[Tuple[Tuple[int, ...], Tuple[Term, ...]]] = (
-            compiled.specs
-        )
-    else:
-        plan = plan_body(rule.body, seed, ctx)
-        # Precompute static key specs per planned literal.
-        bound: set = set(start)
-        fresh: List[Tuple[Tuple[int, ...], Tuple[Term, ...]]] = []
-        for subgoal in plan:
-            if isinstance(subgoal, Literal) and not subgoal.negated:
-                fresh.append(_key_spec(subgoal, bound))
-            else:
-                fresh.append(((), ()))
-            bound |= directly_bound_variables(subgoal, bound)
-        specs = fresh
-
-    def extend(depth: int, binding: Dict[str, object], count: int):
-        if depth == len(plan):
-            yield binding, count
-            return
-        subgoal = plan[depth]
-        if isinstance(subgoal, Literal):
-            if subgoal.negated:
-                stream = _eval_negated_literal(subgoal, binding, ctx)
-            else:
-                key_positions, key_terms = specs[depth]
-                stream = _eval_positive_literal(
-                    subgoal, binding, ctx, key_positions, key_terms
-                )
-        elif isinstance(subgoal, Comparison):
-            stream = _eval_comparison(subgoal, binding)
-        else:
-            stream = _eval_aggregate(subgoal, binding, ctx)
-        for extended, sub_count in stream:
-            yield from extend(depth + 1, extended, count * sub_count)
-
-    yield from extend(0, start, 1)
+    counter = ctx.plan_cache if ctx.plan_cache is not None else _Uncounted()
+    return compiled.bindings_kernel()(ctx, start, counter)
 
 
 def evaluate_rule_into(
@@ -547,12 +535,16 @@ def evaluate_rule_into(
     seed: Optional[int] = None,
 ) -> None:
     """⊎ every head row derived by ``rule`` into ``out``."""
-    head_args = rule.head.args
-    for binding, count in solutions(rule, ctx, seed):
-        if count == 0:
-            continue
-        row = tuple(arg.evaluate(binding) for arg in head_args)
-        out.add(row, count)
+    compiled = _plan(rule, seed, _EMPTY_ADORNMENT, ctx)
+    derived: Dict[Row, int] = {}
+    probes = compiled.head_kernel(rule.head.args)(ctx, derived)
+    if ctx.plan_cache is not None:
+        ctx.plan_cache.index_probes += probes
+    if not derived:
+        return
+    if out.arity is not None and out.arity != len(rule.head.args):
+        out.merge(derived)  # raises the arity error
+    out.absorb(derived)
 
 
 def evaluate_rule(

@@ -61,6 +61,17 @@ def _delta_variants(rule: Rule, targets: Iterable[str]) -> List[Tuple[Rule, int]
     return variants
 
 
+def _collect_new(
+    derived: CountedRelation, target: CountedRelation, delta: CountedRelation
+) -> None:
+    """Add to ``delta`` (count 1) each derived row ``target`` lacks."""
+    delta.absorb({
+        row: 1
+        for row in derived.rows()
+        if not target.contains_positive(row) and row not in delta
+    })
+
+
 def seminaive(
     rules: Sequence[Rule],
     targets: Dict[str, CountedRelation],
@@ -126,9 +137,7 @@ def seminaive(
         with tracer.span("rule", head, round=0) as span:
             derived = evaluate_rule(rule, ctx)
             span.set(tuples_out=len(derived))
-        for row in derived.rows():
-            if not targets[head].contains_positive(row):
-                last_delta[head].set_count(row, 1)
+        _collect_new(derived, targets[head], last_delta[head])
 
     rounds = 0
     while any(delta for delta in last_delta.values()):
@@ -165,9 +174,7 @@ def seminaive(
                 with tracer.span("rule", head, round=rounds) as span:
                     derived = evaluate_rule(variant, round_ctx, seed=seed)
                     span.set(tuples_out=len(derived))
-                for row in derived.rows():
-                    if not targets[head].contains_positive(row):
-                        next_delta[head].set_count(row, 1)
+                _collect_new(derived, targets[head], next_delta[head])
         last_delta = next_delta
     tracer.event("seminaive_fixpoint", rounds=rounds, rules=len(rules))
     return added

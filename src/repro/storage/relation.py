@@ -23,17 +23,91 @@ key specs can additionally be *declared* (:meth:`declare_index`) —
 declared specs survive :meth:`clear`, :meth:`replace_rows`, and
 :meth:`copy`, so a compiled plan that probes a declared index never pays
 a surprise full rebuild after the relation is reset or rolled back.
+
+An index maps a key to a compact *bucket*: the bare row when one row has
+that key, a list of rows up to :data:`LIST_BUCKET_MAX`, and a dict
+(``row → None``) beyond that, so large buckets keep O(1) removal.  A
+single-column spec is keyed by the bare value, a wider one by the tuple
+of values (what :func:`key_getter` returns).  :func:`bucket_rows` turns
+a bucket back into an iterable of rows.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
+from operator import itemgetter
+from typing import (
+    Callable, Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple,
+)
 
 from repro.errors import MaintenanceError, SchemaError
 
 #: A database tuple.  Values are arbitrary hashable Python objects.
 Row = Tuple[object, ...]
+
+#: The most rows a list bucket holds; one more turns it into a dict.
+LIST_BUCKET_MAX = 32
+
+_GETTERS: Dict[Tuple[int, ...], Callable[[Row], object]] = {}
+
+
+def key_getter(positions: Tuple[int, ...]) -> Callable[[Row], object]:
+    """A row's index key on ``positions``: the bare value for one column,
+    the tuple of values for several (``operator.itemgetter``)."""
+    getter = _GETTERS.get(positions)
+    if getter is None:
+        getter = _GETTERS[positions] = itemgetter(*positions)
+    return getter
+
+
+def bucket_rows(bucket) -> Tuple[Row, ...]:
+    """The rows of an index bucket, as a tuple the caller may keep."""
+    if bucket is None:
+        return ()
+    if type(bucket) is tuple:
+        return (bucket,)
+    return tuple(bucket)
+
+
+def _bucket_add(index: dict, key, row: Row) -> None:
+    bucket = index.get(key)
+    if bucket is None:
+        # A bare row must be told apart from a list or dict of rows.
+        index[key] = row if type(row) is tuple else [row]
+    elif type(bucket) is tuple:
+        index[key] = [bucket, row]
+    elif type(bucket) is list:
+        if len(bucket) < LIST_BUCKET_MAX:
+            bucket.append(row)
+        else:
+            grown = dict.fromkeys(bucket)
+            grown[row] = None
+            index[key] = grown
+    else:
+        bucket[row] = None
+
+
+def _bucket_remove(index: dict, key, row: Row) -> None:
+    bucket = index.get(key)
+    if bucket is None:
+        return
+    if type(bucket) is tuple:
+        del index[key]
+        return
+    if type(bucket) is list:
+        bucket.remove(row)
+        left = len(bucket)
+    else:
+        del bucket[row]
+        left = len(bucket)
+        if left > LIST_BUCKET_MAX // 4:
+            return
+        bucket = list(bucket)
+        index[key] = bucket
+    if left == 1 and type(bucket[0]) is tuple:
+        index[key] = bucket[0]
+    elif left == 0:
+        del index[key]
 
 
 class CountedRelation:
@@ -58,8 +132,8 @@ class CountedRelation:
         self.name = name
         self.arity = arity
         self._rows: Dict[Row, int] = {}
-        # positions → {key values → set of rows}; maintained incrementally.
-        self._indexes: Dict[Tuple[int, ...], Dict[Row, set]] = {}
+        # positions → {key → bucket}; maintained incrementally.
+        self._indexes: Dict[Tuple[int, ...], dict] = {}
         # Declared index key specs: re-registered across clear/replace/copy.
         self._declared: Set[Tuple[int, ...]] = set()
         # MVCC hooks (repro.storage.mvcc).  While an epoch is open,
@@ -82,10 +156,7 @@ class CountedRelation:
         if count == 0:
             return self._rows.get(row, 0)
         if self.arity is not None and len(row) != self.arity:
-            raise SchemaError(
-                f"relation {self.name or '<anon>'} has arity {self.arity}; "
-                f"got row of length {len(row)}: {row!r}"
-            )
+            self._check_arity(row)
         old = self._rows.get(row, 0)
         pending = self._pending
         if pending is not None and row not in pending:
@@ -118,15 +189,83 @@ class CountedRelation:
         self.add(row, count - self._rows.get(row, 0))
 
     def merge(self, other: "CountedRelation | Mapping[Row, int]") -> None:
-        """In-place ⊎ with another counted relation (Section 3)."""
+        """In-place ⊎ with another counted relation (Section 3).
+
+        A batch: the counts are summed first, then each index is brought
+        up to date in one loop over the rows that appeared or vanished.
+        Row arities are checked before anything changes.
+        """
+        arity = self.arity
         if other is self:
             items = list(self._rows.items())  # ⊎ with itself mutates the source
         elif isinstance(other, CountedRelation):
             items = other._rows.items()
+            if arity is not None and other.arity != arity:
+                for row in other._rows:
+                    if len(row) != arity:
+                        self._check_arity(row)
         else:
             items = other.items()
+            if arity is not None:
+                items = list(items)
+                for row, _count in items:
+                    if len(row) != arity:
+                        self._check_arity(row)
+        self._merge_items(items)
+
+    def absorb(self, counts: Dict[Row, int]) -> None:
+        """⊎ a ``{row: count}`` dict the caller hands over and drops.
+
+        An empty relation that records no pre-images adopts the dict as
+        its row store and builds each index once; otherwise this is
+        :meth:`merge`.  The caller vouches that ``counts`` holds no zero
+        counts and only rows of this relation's arity.
+        """
+        if not counts:
+            return
+        if self._rows or self._pending is not None or type(counts) is not dict:
+            self._merge_items(counts.items())
+            return
+        self._rows = counts
+        for positions, index in self._indexes.items():
+            index.clear()
+            self._fill_index(positions, index)
+
+    def _merge_items(self, items: Iterable[Tuple[Row, int]]) -> None:
+        rows = self._rows
+        pending = self._pending
+        indexes = self._indexes
+        born: list = []
+        dead: list = []
         for row, count in items:
-            self.add(row, count)
+            if not count:
+                continue
+            old = rows.get(row, 0)
+            if pending is not None and row not in pending:
+                pending[row] = old
+            new = old + count
+            if new:
+                rows[row] = new
+                if not old:
+                    born.append(row)
+            else:
+                del rows[row]
+                dead.append(row)
+        if not indexes:
+            return
+        for positions, index in indexes.items():
+            key_of = key_getter(positions)
+            for row in dead:
+                _bucket_remove(index, key_of(row), row)
+            for row in born:
+                _bucket_add(index, key_of(row), row)
+
+    def _check_arity(self, row: Row) -> None:
+        if len(row) != self.arity:
+            raise SchemaError(
+                f"relation {self.name or '<anon>'} has arity {self.arity}; "
+                f"got row of length {len(row)}: {row!r}"
+            )
 
     def merged(self, other: "CountedRelation") -> "CountedRelation":
         """Pure ⊎: a fresh relation equal to ``self ⊎ other``."""
@@ -312,41 +451,39 @@ class CountedRelation:
         """The declared index key specs, sorted (introspection/tests)."""
         return tuple(sorted(self._declared))
 
-    def ensure_index(self, positions: Tuple[int, ...]) -> Dict[Row, set]:
+    def ensure_index(self, positions: Tuple[int, ...]) -> dict:
         """Build (once) and return the hash index on ``positions``.
 
-        The index maps a key (the row values at ``positions``) to the set
-        of rows carrying that key.  Subsequent mutations keep it current.
+        The index maps a key (:func:`key_getter` of ``positions``) to
+        the bucket of rows carrying that key (see the module docstring).
+        Subsequent mutations keep it current.
         """
         index = self._indexes.get(positions)
         if index is None:
             index = {}
-            for row in self._rows:
-                key = tuple(row[p] for p in positions)
-                index.setdefault(key, set()).add(row)
+            self._fill_index(positions, index)
             self._indexes[positions] = index
         return index
+
+    def _fill_index(self, positions: Tuple[int, ...], index: dict) -> None:
+        key_of = key_getter(positions)
+        for row in self._rows:
+            _bucket_add(index, key_of(row), row)
 
     def lookup(self, positions: Tuple[int, ...], key: Row) -> Iterable[Row]:
         """Rows whose values at ``positions`` equal ``key`` (via index)."""
         if not positions:
             return self.rows()
         index = self.ensure_index(positions)
-        return tuple(index.get(key, ()))
+        return bucket_rows(index.get(key[0] if len(positions) == 1 else key))
 
     def _index_insert(self, row: Row) -> None:
         for positions, index in self._indexes.items():
-            key = tuple(row[p] for p in positions)
-            index.setdefault(key, set()).add(row)
+            _bucket_add(index, key_getter(positions)(row), row)
 
     def _index_remove(self, row: Row) -> None:
         for positions, index in self._indexes.items():
-            key = tuple(row[p] for p in positions)
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(row)
-                if not bucket:
-                    del index[key]
+            _bucket_remove(index, key_getter(positions)(row), row)
 
     # ------------------------------------------------------------- equality
 

@@ -360,6 +360,7 @@ ALLOWED_WHOLE_RELATION_CALLS = {
 PASS_MODULES = (
     "core/strategy_pass.py", "core/counting.py", "core/dred.py", "core/bf.py",
     "core/agg_maintenance.py", "eval/seminaive.py", "eval/rule_eval.py",
+    "eval/kernel.py",
 )
 
 FORBIDDEN_CALLS = {

@@ -253,6 +253,14 @@ class TestResolver:
     def test_missing_resolves_empty(self):
         assert len(Resolver(None).relation("ghost")) == 0
 
+    def test_existing_empty_relation_is_not_treated_as_missing(self):
+        db = Database()
+        db.ensure_relation("link", 2)
+        link = db.relation("link")
+        assert len(link) == 0
+        assert Resolver(db).relation("link") is link
+        assert Resolver({"link": link}).relation("link") is link
+
     def test_bind(self):
         resolver = Resolver(None)
         resolver.bind("p", relation_from_rows("p", [("a",)]))
