@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Literal as TypingLiteral
 
-from repro.core.agg_maintenance import AggregateView
+from repro.core.agg_maintenance import AggregateView, adopt_views
 from repro.core.dred import DRedMaintenance
 from repro.core.normalize import normalize_program
 from repro.datalog.ast import Program
@@ -69,20 +69,21 @@ class PFMaintainer:
         return cls(parse_program(source), database, granularity)
 
     def initialize(self) -> "PFMaintainer":
+        folded: dict = {}
         views = materialize(
             self.normalized.program,
             self.database,
             semantics="set",
             stratification=self.stratification,
+            aggregates=folded,
         )
         self.views = {
             name: relation.set_view(name) for name, relation in views.items()
         }
-        resolver = Resolver(self.database, self.views)
-        for predicate, rule in self.normalized.aggregate_rules.items():
-            view = AggregateView(rule, unit_counts=True)
-            view.initialize(resolver.relation(rule.body[0].relation.predicate))
-            self.aggregate_views[predicate] = view
+        self.aggregate_views = adopt_views(
+            self.normalized.aggregate_rules, folded,
+            Resolver(self.database, self.views), unit_counts=True,
+        )
         return self
 
     def _fragments(self, changes: Changeset) -> List[Changeset]:

@@ -18,7 +18,6 @@ from repro.datalog.ast import Program
 from repro.datalog.parser import parse_program
 from repro.datalog.stratify import stratify
 from repro.errors import MaintenanceError, UnknownRelationError
-from repro.eval.rule_eval import Resolver
 from repro.eval.stratified import materialize
 from repro.storage.changeset import Changeset
 from repro.storage.database import Database
@@ -62,11 +61,6 @@ class SemiNaiveInsertMaintainer:
         self.views = {
             name: relation.set_view(name) for name, relation in views.items()
         }
-        resolver = Resolver(self.database, self.views)
-        for predicate, rule in self.normalized.aggregate_rules.items():
-            view = AggregateView(rule, unit_counts=True)
-            view.initialize(resolver.relation(rule.body[0].relation.predicate))
-            self.aggregate_views[predicate] = view
         return self
 
     def apply(self, changes: Changeset) -> None:

@@ -15,18 +15,22 @@ the group is recomputed from the stored grouped relation — exactly the
 fallback the paper describes for non-incrementally-computable functions.
 
 An :class:`AggregateView` owns the persistent group states, so repeated
-maintenance batches never rescan untouched groups.
+maintenance batches never rescan untouched groups.  It is the only
+GROUPBY evaluator: set-up (``materialize`` included), the lazy first
+:meth:`maintain` and a group recompute share one :meth:`fold`, and a
+maintainer adopts the states ``materialize`` folded instead of folding
+again (:func:`adopt_views`).
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.datalog.ast import Aggregate, Rule
-from repro.errors import MaintenanceError
+from repro.errors import EvaluationError, MaintenanceError
 from repro.eval.aggregates import AggregateFunction, get_aggregate_function
-from repro.eval.rule_eval import match_args
+from repro.eval.kernel import build_projection
 from repro.storage.relation import CountedRelation, Row
 
 logger = logging.getLogger(__name__)
@@ -48,6 +52,14 @@ class AggregateView:
         #: True under set semantics: each distinct row of U contributes once.
         self.unit_counts = unit_counts
         self._group_names = tuple(v.name for v in self.aggregate.group_by)
+        self._project = build_projection(self.aggregate)
+        args, group_by = self.aggregate.relation.args, self.aggregate.group_by
+        #: Inner-literal positions of the grouping variables, the key a
+        #: group recompute probes (None: one occurs only inside a term).
+        self._positions = (
+            tuple(args.index(v) for v in group_by)
+            if all(v in args for v in group_by) else None
+        )
         self._states: Dict[Row, tuple] = {}
         self._initialized = False
         #: Work counters (experiment E12): groups maintained purely
@@ -55,58 +67,57 @@ class AggregateView:
         self.incremental_updates = 0
         self.recomputes = 0
 
-    # ------------------------------------------------------------- plumbing
+    # ------------------------------------------------------------------ fold
 
-    def _row_contribution(self, row: Row) -> Optional[Tuple[Row, object]]:
-        """(group key, aggregated value) of a grouped-relation row.
+    def _triples(self, items: Iterable[Tuple[Row, int]]) -> Iterable[tuple]:
+        """(group key, value, multiplicity) of each live stored row."""
+        unit = self.unit_counts
+        for key, value, count in self._project(items):
+            if count > 0:
+                yield key, value, 1 if unit else count
 
-        Returns None when the row does not match the inner literal's
-        pattern (constant args / repeated variables filter the relation).
-        """
-        binding = match_args(self.aggregate.relation.args, row, {})
-        if binding is None:
-            return None
-        key = tuple(binding[name] for name in self._group_names)
-        value = self.aggregate.argument.evaluate(binding)
-        return key, value
+    def fold(self, triples: Iterable[tuple]) -> Dict[Row, tuple]:
+        """Group states from ``(group key, value, multiplicity)`` triples."""
+        per_group: Dict[Row, List[Tuple[object, int]]] = {}
+        for key, value, multiplicity in triples:
+            per_group.setdefault(key, []).append((value, multiplicity))
+        compute = self.function.compute
+        try:
+            return {key: compute(values) for key, values in per_group.items()}
+        except TypeError as exc:  # a SUM over strings, a MIN over mixed types
+            raise EvaluationError(f"{self.function.name}: {exc}") from exc
 
-    def _multiplicity(self, count: int) -> int:
-        if count <= 0:
-            return 0
-        return 1 if self.unit_counts else count
+    def relation(self) -> CountedRelation:
+        """T read off the group states: one row per non-empty group."""
+        function = self.function
+        relation = CountedRelation(
+            self.rule.head.predicate, len(self._group_names) + 1
+        )
+        relation.absorb({
+            key + (function.result(state),): 1
+            for key, state in self._states.items()
+            if not function.is_empty(state)
+        })
+        return relation
 
     # --------------------------------------------------------------- set-up
 
     def initialize(self, grouped: CountedRelation) -> CountedRelation:
-        """Build group states from the full grouped relation; return T."""
-        positions = self._group_positions()
-        if positions:
-            # Group recomputes probe this index; declare it up front so
-            # it is built once and maintained incrementally (and survives
-            # clear/replace_rows/rollback) instead of rebuilt per fallback.
-            grouped.declare_index(positions)
-        per_group: Dict[Row, List[Tuple[object, int]]] = {}
-        for row, count in grouped.items():
-            multiplicity = self._multiplicity(count)
-            if multiplicity == 0:
-                continue
-            contribution = self._row_contribution(row)
-            if contribution is None:
-                continue
-            key, value = contribution
-            per_group.setdefault(key, []).append((value, multiplicity))
-        self._states = {
-            key: self.function.compute(values)
-            for key, values in per_group.items()
-        }
+        """Fold the full grouped relation into group states; return T."""
+        self._states = self.fold(self._triples(grouped.items()))
         self._initialized = True
-        relation = CountedRelation(
-            self.rule.head.predicate, len(self._group_names) + 1
-        )
-        for key, state in self._states.items():
-            if not self.function.is_empty(state):
-                relation.add(key + (self.function.result(state),), 1)
-        return relation
+        return self.relation()
+
+    def adopt(self, folded: "AggregateView", grouped: CountedRelation) -> None:
+        """Take over ``folded``'s group states; recompute from ``grouped``.
+
+        The index a group recompute probes is declared on ``grouped``
+        now, so it is built at set-up, not mid-pass.
+        """
+        self._states = dict(folded._states)
+        self._initialized = True
+        if self._positions:
+            grouped.declare_index(self._positions)
 
     # ----------------------------------------------------------- maintenance
 
@@ -137,14 +148,12 @@ class AggregateView:
 
         # Collect the touched groups and their per-value changes.
         touched: Dict[Row, List[Tuple[object, int]]] = {}
-        for row, count in delta.items():
-            contribution = self._row_contribution(row)
-            if contribution is None:
-                continue
-            key, value = contribution
-            signed = (1 if count > 0 else -1) if self.unit_counts else count
+        unit = self.unit_counts
+        for key, value, count in self._project(delta.items()):
+            signed = (1 if count > 0 else -1) if unit else count
             touched.setdefault(key, []).append((value, signed))
 
+        function = self.function
         delta_t = CountedRelation(
             f"Δ({self.rule.head.predicate})", len(self._group_names) + 1
         )
@@ -153,19 +162,20 @@ class AggregateView:
                 undo.note_group(self._states, key)
             old_state = self._states.get(key)
             old_tuple: Optional[Row] = None
-            if old_state is not None and not self.function.is_empty(old_state):
-                old_tuple = key + (self.function.result(old_state),)
+            if old_state is not None and not function.is_empty(old_state):
+                old_tuple = key + (function.result(old_state),)
 
-            new_state = old_state if old_state is not None else self.function.initial()
-            for value, signed in changes:
-                if signed > 0:
-                    stepped = self.function.insert(new_state, value, signed)
-                else:
-                    stepped = self.function.delete(new_state, value, -signed)
-                if stepped is None:
-                    new_state = None
-                    break
-                new_state = stepped
+            new_state = old_state if old_state is not None else function.initial()
+            try:
+                for value, signed in changes:
+                    if signed > 0:
+                        new_state = function.insert(new_state, value, signed)
+                    else:
+                        new_state = function.delete(new_state, value, -signed)
+                    if new_state is None:
+                        break
+            except TypeError as exc:
+                raise EvaluationError(f"{function.name}: {exc}") from exc
             if new_state is None:
                 self.recomputes += 1
                 logger.debug(
@@ -176,12 +186,12 @@ class AggregateView:
             else:
                 self.incremental_updates += 1
 
-            if self.function.is_empty(new_state):
+            if function.is_empty(new_state):
                 self._states.pop(key, None)
                 new_tuple: Optional[Row] = None
             else:
                 self._states[key] = new_state
-                new_tuple = key + (self.function.result(new_state),)
+                new_tuple = key + (function.result(new_state),)
 
             if old_tuple != new_tuple:
                 if old_tuple is not None:
@@ -202,39 +212,20 @@ class AggregateView:
         they are bare variables; falls back to a scan otherwise.
         """
         per_value: Dict[object, int] = {}
-        rows = self._group_rows(old_grouped, key)
-        for row, count in rows:
-            multiplicity = self._multiplicity(count)
-            if multiplicity == 0:
-                continue
-            contribution = self._row_contribution(row)
-            if contribution is None or contribution[0] != key:
-                continue
-            per_value[contribution[1]] = (
-                per_value.get(contribution[1], 0) + multiplicity
-            )
+        for row_key, value, multiplicity in self._triples(
+            self._group_rows(old_grouped, key)
+        ):
+            if row_key == key:
+                per_value[value] = per_value.get(value, 0) + multiplicity
         for value, signed in changes:
             per_value[value] = per_value.get(value, 0) + signed
-        values = [(value, count) for value, count in per_value.items() if count > 0]
-        return self.function.compute(values)
-
-    def _group_positions(self) -> Optional[Tuple[int, ...]]:
-        """Inner-literal positions holding the grouping variables (or None)."""
-        positions: List[int] = []
-        args = self.aggregate.relation.args
-        for variable in self.aggregate.group_by:
-            found = None
-            for index, arg in enumerate(args):
-                if arg == variable:
-                    found = index
-                    break
-            if found is None:
-                return None
-            positions.append(found)
-        return tuple(positions)
+        states = self.fold(
+            (key, value, count) for value, count in per_value.items() if count > 0
+        )
+        return states.get(key, self.function.initial())
 
     def _group_rows(self, grouped: CountedRelation, key: Row):
-        positions = self._group_positions()
+        positions = self._positions
         if positions is None:
             return grouped.items()
         return [(row, grouped.count(row)) for row in grouped.lookup(positions, key)]
@@ -244,3 +235,18 @@ class AggregateView:
     def group_count(self) -> int:
         """Number of groups currently tracked."""
         return len(self._states)
+
+
+def adopt_views(
+    aggregate_rules: Dict[str, Rule], folded: Dict, resolver, unit_counts: bool
+) -> Dict[str, AggregateView]:
+    """A view per normalized GROUPBY rule, adopting the states ``folded``
+    (``EvalContext.aggregates``) holds for its subgoal."""
+    views: Dict[str, AggregateView] = {}
+    for predicate, rule in aggregate_rules.items():
+        aggregate = rule.body[0]
+        view = views[predicate] = AggregateView(rule, unit_counts)
+        view.adopt(
+            folded[aggregate], resolver.relation(aggregate.relation.predicate)
+        )
+    return views

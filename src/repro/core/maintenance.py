@@ -38,10 +38,12 @@ import os
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Literal as TypingLiteral, Optional
+from typing import (
+    Dict, Iterable, List, Literal as TypingLiteral, Optional, Tuple,
+)
 
 from repro.core import names
-from repro.core.agg_maintenance import AggregateView
+from repro.core.agg_maintenance import AggregateView, adopt_views
 from repro.core.counting import CountingMaintenance, CountingMode, CountingResult
 from repro.core.bf import BFMaintenance, BFResult
 from repro.core.dred import DRedMaintenance, DRedResult
@@ -385,12 +387,20 @@ class ViewMaintainer:
 
     def initialize(self) -> "ViewMaintainer":
         """Materialize every view and set up aggregate group states."""
+        self._fix_base_arities()
         # Fresh relation objects, not patched ones: re-initializing is a
         # structural change that severs MVCC history (_register_views).
         self.views = {}
-        self._adopt_views(self._rebuild_views())
+        self._adopt_views(*self._rebuild_views())
         self._initialized = True
         return self
+
+    def _fix_base_arities(self) -> None:
+        """Base relations take the arities the program uses them with."""
+        program = self.normalized.program
+        self.database.fix_arities(
+            {name: program.arity_of(name) for name in program.edb_predicates}
+        )
 
     @property
     def set_only(self) -> bool:
@@ -405,28 +415,32 @@ class ViewMaintainer:
 
     def _rebuild_views(
         self, database: Optional[Database] = None
-    ) -> Dict[str, CountedRelation]:
-        """Every view recomputed from scratch, as this strategy stores it.
+    ) -> Tuple[Dict[str, CountedRelation], Dict]:
+        """Every view recomputed from scratch, as this strategy stores it,
+        and the GROUPBY views the recompute folded (for :meth:`_adopt_views`).
 
         ``database`` defaults to the live one; pass a pinned snapshot's
         ``as_database`` to recompute at a committed epoch.
         """
+        folded: Dict = {}
         fresh = materialize(
             self.normalized.program,
             database if database is not None else self.database,
             semantics=self.semantics,
             stratification=self.stratification,
+            aggregates=folded,
         )
         # The set-mode materialization leaves per-stratum duplicate
         # counts behind; set-only strategies store 1.
-        return _as_sets(fresh) if self.set_only else fresh
+        return (_as_sets(fresh) if self.set_only else fresh), folded
 
-    def _adopt_views(self, fresh: Dict[str, CountedRelation]) -> None:
+    def _adopt_views(self, fresh: Dict[str, CountedRelation], folded: Dict) -> None:
         """Make the stored views equal ``fresh``, in place.
 
         Existing relation objects are patched (references held
-        elsewhere stay valid), every aggregate group state is rebuilt
-        over the result, and the views are (re)bound for MVCC.
+        elsewhere stay valid), every aggregate view adopts the group
+        states ``folded`` by the :meth:`_rebuild_views` that made
+        ``fresh``, and the views are (re)bound for MVCC.
         """
         for name, expected in fresh.items():
             actual = self.views.get(name)
@@ -435,7 +449,12 @@ class ViewMaintainer:
             else:
                 actual.replace_rows(expected.to_dict())
                 actual.arity = expected.arity
-        self._init_aggregate_views()
+        self.aggregate_views.update(adopt_views(
+            self.normalized.aggregate_rules,
+            folded,
+            Resolver(self.database, self.views),
+            unit_counts=self.semantics == "set",
+        ))
         self._register_views()
 
     def _register_views(self) -> None:
@@ -451,14 +470,6 @@ class ViewMaintainer:
         mvcc = self.database.mvcc
         if mvcc is not None:
             mvcc.rebind(self.views)
-
-    def _init_aggregate_views(self) -> None:
-        resolver = Resolver(self.database, self.views)
-        for predicate, rule in self.normalized.aggregate_rules.items():
-            view = AggregateView(rule, unit_counts=self.semantics == "set")
-            grouped = resolver.relation(rule.body[0].relation.predicate)
-            view.initialize(grouped)
-            self.aggregate_views[predicate] = view
 
     def refresh(self) -> "ViewMaintainer":
         """Rematerialize every view from the current base relations.
@@ -848,7 +859,7 @@ class ViewMaintainer:
         ) as span:
             self._apply_base_changes_direct(changes, undo)
             self.faults.fire("fallback_recompute")
-            fresh = self._rebuild_views()
+            fresh, folded = self._rebuild_views()
             if undo is not None:
                 undo.note_mapping(self.views)
                 for name, relation in self.views.items():
@@ -859,12 +870,12 @@ class ViewMaintainer:
                         pre_images.update(old_views[name].items())
                         undo.note_rows(relation, pre_images)
                     undo.note_attr(relation, "arity")
-                # _init_aggregate_views builds fresh AggregateView
-                # objects and reassigns the mapping entries; the old
-                # objects are never mutated, so restoring the mapping
-                # restores their states too.
+                # _adopt_views builds fresh AggregateView objects and
+                # reassigns the mapping entries; the old objects are
+                # never mutated, so restoring the mapping restores their
+                # states too.
                 undo.note_mapping(self.aggregate_views)
-            self._adopt_views(fresh)
+            self._adopt_views(fresh, folded)
             self._append_journal(changes)
             span.set(seconds=time.perf_counter() - started)
         epoch = self._publish()
@@ -1228,14 +1239,9 @@ class ViewMaintainer:
                     ):
                         undo.note_attr(self, attribute)
                     undo.note_mapping(self.views)
+                    # (AggregateView.maintain notes the groups it changes.)
                     undo.note_attr(self, "aggregate_views")
                     undo.note_mapping(self.aggregate_views)
-                    for view in self.aggregate_views.values():
-                        undo.note_attr(view, "_states")
-                        undo.note_mapping(view._states)
-                        undo.note_attr(view, "_initialized")
-                        undo.note_attr(view, "incremental_updates")
-                        undo.note_attr(view, "recomputes")
                 new_normalized, new_strat, result = maintain_rule_changes(
                     self, added, removed, undo
                 )
@@ -1249,6 +1255,8 @@ class ViewMaintainer:
                 # a redefinition.
                 self.strategy = "dred"
                 self.views = _as_sets(self.views)
+                # Last, since it changes the database only if it passes.
+                self._fix_base_arities()
         finally:
             # Drop what the redefinition itself compiled: plans from the
             # *old* rules on success, plans against the transitional
@@ -1534,7 +1542,7 @@ class ViewMaintainer:
                 snap = stack.enter_context(self.database.snapshot())
                 epoch, read = snap.epoch, snap.relation
                 source = snap.as_database(self.database.names())
-            fresh = self._rebuild_views(source)
+            fresh, _folded = self._rebuild_views(source)
             reader = {name: read(name) for name in fresh if name in self.views}
         self.last_validated_epoch = epoch
         for name, expected in fresh.items():

@@ -21,7 +21,10 @@ the replacement literal reads exactly that relation.
 Variable hygiene: the synthetic rule reuses the aggregate's own
 variables, and the replacement literal uses the aggregate's *exported*
 variables, so no renaming is needed (the subgoal's other inner variables
-were local to it by safety).
+were local to it by safety).  A rule whose body is a single GROUPBY is
+already normal only when its head is exactly ``group_by + (result,)``;
+any other head (``t(M, R)``, ``t(M)``) reads a synthetic rule too, since
+Algorithm 6.1 emits group tuples in that one shape.
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ class NormalizedProgram:
         return predicate in self.aggregate_rules
 
 
+def _exported(aggregate: Aggregate) -> Tuple:
+    return tuple(aggregate.group_by) + (aggregate.result,)
+
+
 def normalize_program(program: Program) -> NormalizedProgram:
     """Extract every non-solitary GROUPBY subgoal into a synthetic rule."""
     rewritten: List[Rule] = []
@@ -63,7 +70,8 @@ def normalize_program(program: Program) -> NormalizedProgram:
 
     counter = 0
     for rule in program:
-        if len(rule.body) == 1 and isinstance(rule.body[0], Aggregate):
+        solitary = len(rule.body) == 1 and isinstance(rule.body[0], Aggregate)
+        if solitary and rule.head.args == _exported(rule.body[0]):
             # Already in normal form; keep as-is and index it.
             rewritten.append(rule)
             aggregate_rules.setdefault(rule.head.predicate, rule)
@@ -75,7 +83,7 @@ def normalize_program(program: Program) -> NormalizedProgram:
                 continue
             synthetic = names.aggregate_predicate(rule.head.predicate, counter)
             counter += 1
-            exported = tuple(subgoal.group_by) + (subgoal.result,)
+            exported = _exported(subgoal)
             synthetic_head = Literal(synthetic, exported)
             synthetic_rule = Rule(synthetic_head, (subgoal,))
             aggregate_rules[synthetic] = synthetic_rule

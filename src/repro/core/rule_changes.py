@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.core import names
-from repro.core.agg_maintenance import AggregateView
+from repro.core.agg_maintenance import adopt_views
 from repro.core.dred import DRedMaintenance, DRedResult
 from repro.core.normalize import NormalizedProgram, normalize_program
 from repro.datalog.ast import Program, Rule
@@ -73,18 +73,18 @@ def maintain_rule_changes(
                 predicate, combined.arity_of(predicate)
             )
 
-    # Aggregate views for synthetic predicates introduced by the change.
-    for predicate, rule in new_normalized.aggregate_rules.items():
-        if predicate in maintainer.aggregate_views:
-            continue
-        view = AggregateView(rule, unit_counts=True)
-        grouped = Resolver(maintainer.database, views).relation(
-            rule.body[0].relation.predicate
-        )
-        # The stored extent of a freshly-added aggregate view is its
-        # old-state groups; DRed then maintains it as lower strata change.
-        views[predicate] = view.initialize(grouped)
-        maintainer.aggregate_views[predicate] = view
+    # Evaluations over the old state.  The stored extent of an aggregate
+    # view the change introduces is its old-state groups; DRed then
+    # maintains it as lower strata change.
+    introduced = dict(new_normalized.aggregate_rules)
+    for predicate in maintainer.aggregate_views:
+        introduced.pop(predicate, None)
+    ctx = EvalContext(Resolver(maintainer.database, views), lambda _n: True)
+    for predicate, rule in introduced.items():
+        views[predicate] = evaluate_rule(rule, ctx)
+    maintainer.aggregate_views.update(
+        adopt_views(introduced, ctx.aggregates, ctx.resolver, unit_counts=True)
+    )
 
     removed_set = set(old_rules) - set(new_rules)
     added_set = frozenset(set(new_rules) - set(old_rules))
@@ -102,9 +102,7 @@ def maintain_rule_changes(
 
     # Derivations of removed rules over the OLD state seed the δ⁻ pass.
     seeds: Dict[str, CountedRelation] = {}
-    old_resolver = Resolver(maintainer.database, views)
     for rule in removed_set:
-        ctx = EvalContext(old_resolver, unit_counts=lambda _n: True)
         derived = evaluate_rule(rule, ctx)
         if not derived:
             continue

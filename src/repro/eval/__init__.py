@@ -5,7 +5,6 @@ from repro.eval.naive import naive_materialize
 from repro.eval.rule_eval import (
     EvalContext,
     Resolver,
-    compute_aggregate_relation,
     evaluate_rule,
     evaluate_rule_into,
     plan_body,
@@ -19,7 +18,6 @@ __all__ = [
     "EvalContext",
     "Resolver",
     "Semantics",
-    "compute_aggregate_relation",
     "evaluate_rule",
     "evaluate_rule_into",
     "get_aggregate_function",

@@ -163,28 +163,14 @@ class MaxFunction(MinFunction):
     _better = staticmethod(max)
 
 
-class AvgFunction(AggregateFunction):
+class AvgFunction(SumFunction):
     """AVG — decomposed into the incrementally computable (sum, count)."""
 
     name = "AVG"
 
-    def initial(self) -> State:
-        return (0, 0)  # (total, multiplicity)
-
-    def insert(self, state: State, value: object, count: int) -> State:
-        total, n = state
-        return (total + value * count, n + count)
-
-    def delete(self, state: State, value: object, count: int) -> State:
-        total, n = state
-        return (total - value * count, n - count)
-
     def result(self, state: State) -> object:
         total, n = state
         return total / n
-
-    def is_empty(self, state: State) -> bool:
-        return state[1] == 0
 
 
 class VarFunction(AggregateFunction):

@@ -15,7 +15,7 @@ constants, key specs, variable names and any other :class:`Term` reach
 the function through its namespace, so no value of the program is ever
 spliced into code.
 
-A kernel has one of two sinks:
+A join kernel has one of two sinks:
 
 * **head rows** — ``kernel(ctx, acc)`` ⊎s every derived head row into
   the plain ``{row: count}`` dict ``acc`` (count = product of the joined
@@ -23,6 +23,9 @@ A kernel has one of two sinks:
 * **bindings** — ``kernel(ctx, binding, counter)`` is a generator of
   ``(binding, count)`` pairs extending ``binding``, counting each probe
   on ``counter.index_probes`` as it is made.
+
+A GROUPBY's inner literal compiles the same way into a **projection**
+(:func:`build_projection`), the input of the one group fold.
 
 Relations are resolved once per call.  A :class:`CountedRelation` is
 read directly (its ``_rows`` dict and its index buckets); anything else
@@ -245,31 +248,34 @@ class _Compiler:
             self.emit("probes += 1")
 
     def match(self, args: Sequence[Term], row: str, keys: Sequence[int]) -> None:
-        """Bind the non-key positions of ``row``; test repeated variables."""
+        """Bind the non-key positions of ``row``; test repeated variables.
+
+        Any other non-key term (only a projection has one) must equal
+        its value once the whole row is bound.
+        """
         key_set = set(keys)
         targets: List[str] = []
-        checks: List[Tuple[str, str]] = []
+        checks: List[Tuple[Term, str]] = []
         free = 0
         for position, arg in enumerate(args):
             if position in key_set:
                 targets.append("_")
                 continue
             free += 1
-            local = self.locals.get(arg.name)
-            if local is None:
+            if isinstance(arg, Variable) and arg.name not in self.locals:
                 targets.append(self.bind_variable(arg.name))
-            else:  # a repeated variable: p(X, X)
+            else:  # a repeated variable, p(X, X), or a term
                 other = self.name("q")
                 targets.append(other)
-                checks.append((local, other))
+                checks.append((arg, other))
         if free:
             # Unpacking also rejects a row of another length.
             self.emit("try:")
             self.emit(f"    {', '.join(targets)}, = {row}")
             self.emit("except ValueError:")
             self.emit("    continue")
-        for local, other in checks:
-            self.repeat_check(local, other)
+        for term, other in checks:
+            self.repeat_check(self.expr(term), other)
 
     def repeat_check(self, bound: str, value: str) -> None:
         """Skip the row unless a repeated variable's values agree."""
@@ -412,6 +418,14 @@ class _Compiler:
             "", counted=False, lazy=lazy,
         )
 
+    def projection(self, aggregate: Aggregate) -> str:
+        """Source of ``kernel(items)``, a GROUPBY's projection."""
+        self.open_loop("for t, c in items:")
+        self.match(aggregate.relation.args, "t", ())
+        key = self.tuple_expr(aggregate.group_by)
+        self.emit(f"yield {key}, {self.expr(aggregate.argument)}, c")
+        return "\n".join(["def kernel(items):", *self.lines]) + "\n"
+
     # ------------------------------------------------------------- whole
 
     def source(self) -> str:
@@ -471,8 +485,7 @@ class _Compiler:
             [f"def kernel({signature}):", *self.prologue, *self.lines, *tail]
         ) + "\n"
 
-    def compile(self) -> Callable:
-        text = self.source()
+    def compile(self, text: str) -> Callable:
         namespace = self.namespace
         exec(compile(text, "<join kernel>", "exec"), namespace)
         kernel = namespace["kernel"]
@@ -494,4 +507,13 @@ def build_kernel(
     anything but a positive literal); ``head`` is the rule's head
     arguments for the head-row sink, ``None`` for the bindings sink.
     """
-    return _Compiler(order, specs, adornment, units, head).compile()
+    compiler = _Compiler(order, specs, adornment, units, head)
+    return compiler.compile(compiler.source())
+
+
+@lru_cache(maxsize=256)
+def build_projection(aggregate: Aggregate) -> Callable:
+    """``project(items)``: a generator of the ``(group key, value,
+    count)`` of each ``(row, count)`` matching the GROUPBY's literal."""
+    compiler = _Compiler((), (), frozenset(), (), None)
+    return compiler.compile(compiler.projection(aggregate))

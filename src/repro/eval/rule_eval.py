@@ -41,7 +41,6 @@ from repro.datalog.ast import Aggregate, Comparison, Literal, Rule, Subgoal
 from repro.datalog.safety import directly_bound_variables
 from repro.datalog.terms import Constant, Term, Variable
 from repro.errors import EvaluationError
-from repro.eval.aggregates import get_aggregate_function
 from repro.eval.kernel import EMPTY as _EMPTY
 from repro.eval.kernel import KeySpec, build_kernel
 from repro.storage.database import Database
@@ -94,80 +93,55 @@ class Resolver:
     def bind(self, name: str, relation: CountedRelation) -> None:
         self.overrides[name] = relation
 
-    def layered(self) -> "Resolver":
-        """A child resolver whose new overrides do not leak into this one."""
-        return Resolver(self)
-
 
 class EvalContext:
-    """Shared evaluation state: resolver, count policy, aggregate cache.
+    """Shared evaluation state: resolver, count policy, aggregate views.
 
     ``plan_cache`` (optional) is a
     :class:`~repro.eval.plan_cache.PlanCache`: when set,
     :func:`solutions` reuses compiled plans instead of re-planning, and
     indexed probes are counted on the cache's ``index_probes`` counter.
+    ``aggregates`` maps each GROUPBY subgoal evaluated so far to the
+    :class:`~repro.core.agg_maintenance.AggregateView` it folded through.
     """
 
-    __slots__ = ("resolver", "unit_counts", "_aggregate_cache", "plan_cache")
+    __slots__ = ("resolver", "unit_counts", "aggregates", "plan_cache")
 
     def __init__(
         self,
         resolver: "Resolver | Database | Dict[str, CountedRelation]",
         unit_counts: Optional[UnitCountPolicy] = None,
         plan_cache=None,
+        aggregates: Optional[Dict] = None,
     ) -> None:
         if not isinstance(resolver, Resolver):
             resolver = Resolver(resolver)
         self.resolver = resolver
         self.unit_counts = unit_counts
         self.plan_cache = plan_cache
-        self._aggregate_cache: Dict[Aggregate, CountedRelation] = {}
-
-    def row_count(self, predicate: str, relation: CountedRelation, row: Row) -> int:
-        if self.unit_counts is not None and self.unit_counts(predicate):
-            return 1
-        return relation.count(row)
+        self.aggregates = aggregates if aggregates is not None else {}
 
     def aggregate_relation(self, aggregate: Aggregate) -> CountedRelation:
-        """The relation denoted by a GROUPBY subgoal (computed, cached).
+        """The relation denoted by a GROUPBY subgoal, read off its groups.
 
         One row per distinct group: ``group values + (aggregate value,)``,
         each with count 1 (aggregate subgoals are duplicate-free,
-        Section 6.2).
+        Section 6.2).  The first use folds the grouped relation.
         """
-        cached = self._aggregate_cache.get(aggregate)
-        if cached is not None:
-            return cached
-        result = compute_aggregate_relation(aggregate, self)
-        self._aggregate_cache[aggregate] = result
-        return result
+        view = self.aggregates.get(aggregate)
+        if view is not None:
+            return view.relation()
+        from repro.core.agg_maintenance import AggregateView
 
-
-def compute_aggregate_relation(
-    aggregate: Aggregate, ctx: EvalContext
-) -> CountedRelation:
-    """Group the inner relation and aggregate each group (no caching)."""
-    function = get_aggregate_function(aggregate.function)
-    inner = aggregate.relation
-    relation = ctx.resolver.relation(inner.predicate)
-    group_names = tuple(v.name for v in aggregate.group_by)
-    groups: Dict[Row, List[Tuple[object, int]]] = {}
-    for row, stored in relation.items():
-        if stored <= 0:
-            continue
-        count = ctx.row_count(inner.predicate, relation, row)
-        binding = match_args(inner.args, row, {})
-        if binding is None:
-            continue
-        key = tuple(binding[name] for name in group_names)
-        value = aggregate.argument.evaluate(binding)
-        groups.setdefault(key, []).append((value, count))
-    out = CountedRelation(str(aggregate), len(group_names) + 1)
-    for key, values in groups.items():
-        state = function.compute(values)
-        if not function.is_empty(state):
-            out.add(key + (function.result(state),), 1)
-    return out
+        predicate = aggregate.relation.predicate
+        exported = tuple(aggregate.group_by) + (aggregate.result,)
+        view = AggregateView(
+            Rule(Literal(str(aggregate), exported), (aggregate,)),
+            unit_counts=self.unit_counts is not None
+            and bool(self.unit_counts(predicate)),
+        )
+        self.aggregates[aggregate] = view
+        return view.initialize(self.resolver.relation(predicate))
 
 
 # --------------------------------------------------------------------------

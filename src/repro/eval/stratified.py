@@ -43,11 +43,14 @@ def materialize(
     database: Database,
     semantics: Semantics = "set",
     stratification: Optional[Stratification] = None,
+    aggregates: Optional[Dict] = None,
 ) -> Dict[str, CountedRelation]:
     """Materialize every idb predicate of ``program`` over ``database``.
 
     Returns ``{predicate: relation}`` for the derived predicates; base
-    relations are read from ``database`` and left untouched.
+    relations are read from ``database`` and left untouched.  A dict
+    passed as ``aggregates`` receives the view each GROUPBY folded
+    through (:attr:`EvalContext.aggregates`), for a maintainer to adopt.
     """
     check_program_safety(program)
     strat = stratification if stratification is not None else stratify(program)
@@ -75,7 +78,7 @@ def materialize(
 
         # Nonrecursive predicates: one pass per rule; derivations sum, so
         # stored counts are per-stratum duplicate counts (Section 5.1).
-        ctx = EvalContext(resolver, unit_counts=unit_policy)
+        ctx = EvalContext(resolver, unit_counts=unit_policy, aggregates=aggregates)
         for rule in flat_rules:
             head = rule.head.predicate
             out = results.get(head)

@@ -15,29 +15,6 @@ from repro.errors import PoisonChangesetError
 from repro.storage.changeset import Changeset
 
 
-def _expected_arity(maintainer, name: str, stored) -> object:
-    """Best arity evidence available: stored schema, program use, rows.
-
-    Base relations built with ``insert_rows`` carry no declared arity,
-    so fall back to how the program's rule bodies use the predicate and
-    finally to the width of the rows already stored.  ``None`` means no
-    evidence — the row is admitted and later layers decide.
-    """
-    if stored is not None and stored.arity is not None:
-        return stored.arity
-    for rule in maintainer.normalized.program:
-        for subgoal in rule.body:
-            args = getattr(subgoal, "args", None)
-            if args is not None and getattr(
-                subgoal, "predicate", None
-            ) == name:
-                return len(args)
-    if stored is not None:
-        for row in stored:
-            return len(row)
-    return None
-
-
 def validate_changeset(maintainer, changes: Changeset) -> None:
     """Raise :class:`PoisonChangesetError` if ``changes`` is inadmissible.
 
@@ -55,7 +32,8 @@ def validate_changeset(maintainer, changes: Changeset) -> None:
                 relation=name,
             )
         stored = maintainer.database.get(name)
-        arity = _expected_arity(maintainer, name, stored)
+        # initialize() fixed every base predicate's arity from the program.
+        arity = stored.arity if stored is not None else None
         for row, _count in delta.items():
             if not isinstance(row, tuple):
                 raise PoisonChangesetError(

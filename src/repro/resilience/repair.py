@@ -110,7 +110,8 @@ def repair_divergence(
             )
     report = RepairReport()
     damaged: Dict[str, CountedRelation] = {}
-    for name, expected in maintainer._rebuild_views().items():
+    fresh, folded = maintainer._rebuild_views()
+    for name, expected in fresh.items():
         actual = maintainer.views.get(name)
         if actual is not None and view_matches(maintainer, actual, expected):
             continue
@@ -124,10 +125,10 @@ def repair_divergence(
         # damaged state or the healed state, never a mix (a clean heal
         # commits nothing and bumps no epoch).  Aggregate group states
         # are derived caches over the (possibly damaged) grouped
-        # relations; adopting rebuilds them all from the repaired state
+        # relations; every view adopts the states folded by the rebuild
         # rather than guessing which drifted.
         with autocommit(mvcc):
-            maintainer._adopt_views(damaged)
+            maintainer._adopt_views(damaged, folded)
         if mvcc is not None:
             report.epoch = mvcc.epoch
         report.aggregates_reset = sorted(maintainer.aggregate_views)

@@ -130,6 +130,29 @@ class Database:
             relation.arity = arity
         return relation
 
+    def fix_arities(self, arities: Dict[str, Optional[int]]) -> None:
+        """Give each named relation its arity, creating the missing ones.
+
+        ``add``/``merge`` then refuse a row of another length before
+        anything changes.  A stored relation of another arity is a
+        :class:`SchemaError`, raised before any relation changes; only a
+        relation with no arity yet (rows added unchecked) has its rows
+        read.
+        """
+        for name, arity in arities.items():
+            relation = self._relations.get(name)
+            if arity is not None and relation is not None and (
+                relation.arity not in (None, arity) or (
+                    relation.arity is None
+                    and any(len(row) != arity for row in relation.rows())
+                )
+            ):
+                raise SchemaError(
+                    f"relation {name} holds rows that are not of arity {arity}"
+                )
+        for name, arity in arities.items():
+            self.ensure_relation(name, arity)
+
     def adopt_relation(self, name: str, relation: CountedRelation) -> CountedRelation:
         """Install an existing relation object under ``name``.
 

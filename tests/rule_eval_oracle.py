@@ -24,6 +24,7 @@ from repro.datalog.ast import Aggregate, Comparison, Literal, Rule, Subgoal
 from repro.datalog.safety import directly_bound_variables
 from repro.datalog.terms import Constant, Term, Variable
 from repro.errors import EvaluationError
+from repro.eval.aggregates import get_aggregate_function
 from repro.eval.rule_eval import EvalContext, _key_spec, plan_body
 from repro.storage.relation import CountedRelation, Row
 
@@ -82,7 +83,7 @@ def _positive(literal, binding, ctx, key_positions, key_terms, counter):
         extended = match_args(literal.args, row, binding)
         if extended is None:
             continue
-        count = ctx.row_count(literal.predicate, relation, row)
+        count = _row_count(ctx, literal.predicate, relation, row)
         if count:
             yield extended, count
 
@@ -120,8 +121,39 @@ def _comparison(comparison, binding):
         yield binding, 1
 
 
-def _aggregate(aggregate, binding, ctx):
-    relation = ctx.aggregate_relation(aggregate)
+def _row_count(ctx, predicate: str, relation, row: Row) -> int:
+    if ctx.unit_counts is not None and ctx.unit_counts(predicate):
+        return 1
+    return relation.count(row)
+
+
+def aggregate_relation(aggregate: Aggregate, ctx: EvalContext) -> CountedRelation:
+    """The oracle's own GROUPBY fold: group the matched rows, fold each
+    group with the registered function (a domain error escapes raw)."""
+    function = get_aggregate_function(aggregate.function)
+    inner = aggregate.relation
+    relation = ctx.resolver.relation(inner.predicate)
+    groups: Dict[Row, List[Tuple[object, int]]] = {}
+    for row, stored in relation.items():
+        binding = match_args(inner.args, row, {})
+        if stored <= 0 or binding is None:
+            continue
+        key = tuple(binding[v.name] for v in aggregate.group_by)
+        value = aggregate.argument.evaluate(binding)
+        count = _row_count(ctx, inner.predicate, relation, row)
+        groups.setdefault(key, []).append((value, count))
+    out = CountedRelation(str(aggregate), len(aggregate.group_by) + 1)
+    for key, values in groups.items():
+        state = function.compute(values)
+        if not function.is_empty(state):
+            out.add(key + (function.result(state),), 1)
+    return out
+
+
+def _aggregate(aggregate, binding, ctx, folded):
+    relation = folded.get(aggregate)
+    if relation is None:
+        relation = folded[aggregate] = aggregate_relation(aggregate, ctx)
     exported: Tuple[Term, ...] = tuple(aggregate.group_by) + (aggregate.result,)
     key_positions, key_terms = _key_spec(Literal("", exported), set(binding))
     if key_positions:
@@ -158,6 +190,7 @@ def solutions(
             else:
                 specs.append(((), ()))
             bound |= directly_bound_variables(subgoal, bound)
+    folded: Dict[Aggregate, CountedRelation] = {}
 
     def extend(depth, binding, count):
         if depth == len(order):
@@ -176,7 +209,7 @@ def solutions(
             stream = _comparison(subgoal, binding)
         else:
             assert isinstance(subgoal, Aggregate)
-            stream = _aggregate(subgoal, binding, ctx)
+            stream = _aggregate(subgoal, binding, ctx, folded)
         for extended, sub_count in stream:
             yield from extend(depth + 1, extended, count * sub_count)
 

@@ -261,3 +261,15 @@ def test_rows_of_another_length_match_nothing():
         assert evaluate_rule(rule, ctx).to_dict() == oracle.evaluate_rule(
             rule, EvalContext(Resolver(None, {"p": p}))
         ).to_dict()
+
+
+@pytest.mark.parametrize("function", ["SUM", "MIN"])
+def test_a_fold_domain_error_is_typed(function):
+    """Where the oracle's fold raises on a mixed-type group, so does the
+    kernel's, as an EvaluationError."""
+    rule = parse_rule(f"h(S, M) :- GROUPBY(p(S, B), [S], M = {function}(B)).")
+    rows = {("a", 1): 1, ("a", "b"): 1}
+    with pytest.raises(TypeError):
+        oracle.evaluate_rule(rule, _ctx(p=rows))
+    with pytest.raises(EvaluationError):
+        evaluate_rule(rule, _ctx(p=rows))
