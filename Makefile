@@ -6,14 +6,14 @@ PYTHON ?= python
 PYTEST := env PYTHONPATH=src $(PYTHON) -m pytest
 TIMEOUT ?= timeout
 
-.PHONY: check test test-fast test-faults test-soak bench bench-smoke obs-smoke \
-	guard-smoke mvcc-smoke lint-smoke bf-smoke health-smoke \
-	orchestrator-smoke sanitize-smoke lint lint-strict ruff pylint
+.PHONY: check test test-fast test-faults test-soak bench bench-smoke \
+	lint lint-strict ruff pylint
 
-# The default gate: the whole suite plus the benchmark, observability,
-# guardrail and static-analysis smoke runs.
-check: test bench-smoke obs-smoke guard-smoke mvcc-smoke lint-smoke \
-	bf-smoke health-smoke orchestrator-smoke sanitize-smoke
+# The default gate: the whole suite plus the benchmark smoke run.  The
+# per-layer acceptance checks (trace tree, guard rollback, MVCC soak,
+# lint/advisor agreement, B/F contrast, health SLOs, orchestrator
+# drills, sanitizer fixture) are tier-1 tests.
+check: test bench-smoke
 
 # The tier-1 gate: everything, fail fast.
 test:
@@ -44,75 +44,6 @@ bench-smoke:
 bench:
 	python3 benchmarks/e2e/suite.py \
 		--compare benchmarks/e2e/baseline/seed1.json
-
-# Observability acceptance at toy scale: traced counting+DRed passes
-# emit a well-formed span-tree JSONL, the metrics registry renders
-# valid Prometheus exposition (>= 10 families), and `explain`
-# reproduces the stored derivation count (Theorem 4.1).
-obs-smoke:
-	env PYTHONPATH=src $(PYTHON) -m repro.obs.smoke
-
-# Guardrail acceptance at toy scale: a budget breach rolls back to the
-# bit-identical pre-pass state, a forced fallback produces
-# recompute-identical views, and a poison changeset round-trips
-# through the quarantine dead-letter file.
-guard-smoke:
-	env PYTHONPATH=src $(PYTHON) -m repro.guard.smoke
-
-# MVCC acceptance at toy scale: 4 reader threads race 200 maintenance
-# passes under injected crash points and guard-budget breaches; every
-# pinned snapshot read must equal the recompute oracle at its epoch
-# (zero torn reads) and the version chains must stay within the
-# retention cap.  (The long randomized version is `make test-soak`.)
-mvcc-smoke:
-	env PYTHONPATH=src $(PYTHON) -m repro.storage.mvcc_smoke
-
-# Static-analysis acceptance: every Datalog program embedded in
-# examples/*.py lints clean of error diagnostics through the real
-# `repro lint --format json` CLI (schema-validated), the strategy
-# advisor's counting/DRed pick matches ViewMaintainer's own
-# auto-selection on each, and a known-bad fixture produces exactly the
-# expected RV codes.  See docs/analysis.md for the code catalogue.
-lint-smoke:
-	env PYTHONPATH=src $(PYTHON) -m repro.analysis.smoke
-
-# B/F acceptance at toy scale: the advisor recommends bf (RV203) on the
-# dense alternative-derivation fixture and auto-selection agrees, bf and
-# DRed leave identical views on a delete/reinsert stream through it, bf
-# is measurably faster there, and the candidates-vs-overestimate
-# counters confirm the targeting.  (The full benchmark with the >= 5x
-# gate is `python benchmarks/bench_bf.py` -> BENCH_bf.json.)
-bf-smoke:
-	env PYTHONPATH=src $(PYTHON) -m repro.core.bf_smoke
-
-# Health-layer acceptance at toy scale: SLOs on a live workload, an
-# injected admission fault quarantines passes until the freshness
-# burn-rate alert fires (view + window in the payload), recovery clears
-# it, the profiler report is schema-valid with ring-resolvable span
-# exemplars, and `repro top --once` renders every dashboard section.
-health-smoke:
-	env PYTHONPATH=src $(PYTHON) -m repro.obs.health_smoke
-
-# Orchestrator acceptance at toy scale: a fault drill on a 3-level DAG
-# under a virtual clock — injected failures quarantine exactly their
-# isolation cone while siblings keep refreshing, quarantined views
-# serve their last committed MVCC epoch with staleness stamps, the
-# recovery probe heals the cone and drains the backlog, target_lag /
-# DOWNSTREAM batching holds, and every view matches the recompute
-# oracle.  (The scheduler-overhead benchmark with the <5% gate is
-# `python benchmarks/bench_orchestrator.py` -> BENCH_orchestrator.json.)
-orchestrator-smoke:
-	env PYTHONPATH=src $(PYTHON) -m repro.orchestrator.smoke
-
-# Concurrency-sanitizer acceptance, both directions: the static RV3xx
-# pass catches every seeded publication-discipline defect in the
-# known-bad fixture (span-accurate) and reports zero error-severity
-# RV3xx findings over the real src/repro tree; the runtime sanitizer
-# (Database(sanitize=True)) runs a threaded MVCC soak green and traps
-# a fault-injected torn publication from concurrent reader threads.
-# This is the gate for O4's worker pool.  See docs/analysis.md.
-sanitize-smoke:
-	env PYTHONPATH=src $(PYTHON) -m repro.analysis.sanitize_smoke
 
 # Lint an arbitrary program: make lint FILE=path/to/views.dl
 lint:

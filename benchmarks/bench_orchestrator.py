@@ -26,8 +26,7 @@ Run standalone::
 ``--smoke`` shrinks everything to toy scale and skips the overhead
 gate (the numbers are meaningless at that size; only the machinery and
 the JSON schema are under test — see
-``tests/test_bench_orchestrator_smoke.py`` and ``make
-orchestrator-smoke``'s sibling gate in ``make check``).
+``tests/test_bench_orchestrator_smoke.py``).
 """
 
 from __future__ import annotations

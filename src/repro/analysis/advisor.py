@@ -57,7 +57,8 @@ class StrategyAdvice:
     """The advisor's full output.
 
     ``overall`` matches ``ViewMaintainer``'s own ``strategy="auto"``
-    resolution on the same program (asserted by ``make lint-smoke``).
+    resolution on the same program (asserted over every example program
+    by ``tests/test_analysis.py``).
     """
 
     overall: str  # "counting" | "bf"

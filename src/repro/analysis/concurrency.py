@@ -27,8 +27,7 @@ general race detector:
   ``finally`` of the same function.
 * **RV305** — a module-scope import that breaks the package layering
   (function-scope imports are the sanctioned lazy seam; the
-  metrics/trace/logging hook modules are importable from anywhere;
-  smoke modules are end-to-end drivers and exempt).
+  metrics/trace/logging hook modules are importable from anywhere).
 * **RV306** — an instance attribute written both under and outside the
   class's lock (``*_locked`` methods are assumed called under the
   lock, per the codebase convention).
@@ -46,7 +45,7 @@ import-hygiene pass (``RV220``).
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
 from repro.datalog.ast import Span
@@ -128,11 +127,6 @@ def _dotted(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _is_smoke(module: str) -> bool:
-    tail = module.rsplit(".", 1)[-1]
-    return tail == "smoke" or tail.endswith("_smoke")
 
 
 def _is_lock_expr(node: ast.AST) -> Optional[str]:
@@ -251,7 +245,7 @@ def check_source(
 def _check_layering(
     tree: ast.Module, module: str, path: Optional[str]
 ) -> List[Diagnostic]:
-    if not module.startswith("repro.") or _is_smoke(module):
+    if not module.startswith("repro."):
         return []
     parts = module.split(".")
     if len(parts) < 3:  # root modules (repro.cli, repro.errors) sit on top
@@ -479,8 +473,6 @@ def _check_function(
             return
         if module in engine:
             return
-        if _is_smoke(module):
-            return  # smokes inject protocol violations deliberately
         if in_init and base == "self":
             return  # the object under construction is not shared yet
         if base is not None and base.split(".", 1)[0] in facts.fresh:
@@ -691,15 +683,3 @@ def unused_imports(
         )
     return findings
 
-
-def error_codes(diagnostics: Sequence[Diagnostic]) -> List[str]:
-    """The distinct error-severity RV3xx codes present (smoke helper)."""
-    from repro.analysis.diagnostics import Severity
-
-    return sorted(
-        {
-            d.code
-            for d in diagnostics
-            if d.code in CONCURRENCY_CODES and d.severity >= Severity.ERROR
-        }
-    )

@@ -1,7 +1,7 @@
 """Self-lint: run the concurrency analyzer over the repro tree itself.
 
-``repro lint --self`` (and ``make lint-strict`` / ``make
-sanitize-smoke``) call :func:`lint_self`, which walks every module under
+``repro lint --self`` (and ``make lint-strict`` / ``repro
+sanitize``) call :func:`lint_self`, which walks every module under
 ``src/repro``, runs the RV3xx static battery
 (:mod:`repro.analysis.concurrency`) plus the RV220 import-hygiene pass,
 and folds the findings into a standard
@@ -11,9 +11,9 @@ logic all apply unchanged.  Each diagnostic is stamped with the file it
 came from (``Diagnostic.path``), so a multi-file report still renders
 GCC-style ``file:line:col`` locations.
 
-The gate the smoke enforces is *zero error-severity RV3xx findings on
-the real tree*: INFO/WARNING findings are advisory (e.g. the one
-sanctioned ``global`` rebinding in the metrics registry), but an ERROR
+The gate ``repro sanitize`` enforces is *zero error-severity RV3xx
+findings on the real tree*: INFO/WARNING findings are advisory (e.g. the
+one sanctioned ``global`` rebinding in the metrics registry), but an ERROR
 means someone bypassed the MVCC publication protocol and O4's worker
 pool would tear snapshots.
 """

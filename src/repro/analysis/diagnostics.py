@@ -445,7 +445,7 @@ def count_by_severity(diagnostics: Sequence[Diagnostic]) -> Dict[str, int]:
 
 #: JSON-document schema (version 1): required top-level keys and the
 #: per-diagnostic required keys with their allowed types.  Kept as data
-#: so tools (and ``make lint-smoke``) can validate without jsonschema.
+#: so tools (and the tests) can validate without jsonschema.
 DOCUMENT_KEYS = {
     "version": int,
     "path": (str, type(None)),

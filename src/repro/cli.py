@@ -904,7 +904,7 @@ def sanitize_main(argv: List[str]) -> int:
             for d in hard:
                 print(f"  {d.location()}: [{d.code}] {d.message}")
     if not args.skip_runtime:
-        from repro.storage.mvcc_smoke import run_soak
+        from repro.analysis.soak import run_soak
 
         # Scale the fault cadences to the pass count: run_soak treats a
         # drill where no crash/breach ever fired as a problem, so short

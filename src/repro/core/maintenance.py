@@ -877,7 +877,8 @@ class ViewMaintainer:
                 undo.note_mapping(self.aggregate_views)
             self._adopt_views(fresh, folded)
             self._append_journal(changes)
-            span.set(seconds=time.perf_counter() - started)
+            seconds = time.perf_counter() - started
+            span.set(seconds=seconds)
         epoch = self._publish()
         self.guard.fallback_passes += 1
         self.metrics.counter(
@@ -888,7 +889,7 @@ class ViewMaintainer:
         self.tracer.event("guard_fallback", reason=reason)
         return MaintenanceReport(
             strategy="recompute",
-            seconds=time.perf_counter() - started,
+            seconds=seconds,
             view_deltas=self._diff_views(old_views),
             epoch=epoch,
             span_id=getattr(span, "span_id", None),

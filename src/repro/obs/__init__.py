@@ -19,7 +19,7 @@ switched on:
 * :mod:`repro.obs.top` — the ``repro top`` ANSI dashboard renderer;
 * :mod:`repro.obs.schema` — validators for the JSONL trace schema, the
   Prometheus exposition format, ``status --json``, and profiler
-  reports (tests + ``make obs-smoke`` / ``make health-smoke``).
+  reports (shared by the tests and any caller checking a document).
 
 See ``docs/observability.md`` for the metric catalog and a walkthrough.
 """

@@ -1,6 +1,6 @@
 """Validators for the telemetry wire formats.
 
-Shared by the test suite and ``make obs-smoke``: one validator for the
+Shared by the test suite and callers: one validator for the
 JSONL trace-event schema (:mod:`repro.obs.trace`), one for Prometheus
 text exposition output (:meth:`repro.obs.metrics.MetricsRegistry.to_prometheus`).
 Each returns a list of problem strings — empty means valid — so callers

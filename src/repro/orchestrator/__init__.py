@@ -13,8 +13,8 @@ Entry points:
 * :class:`Orchestrator` — build from :class:`ViewNode` objects or a
   JSON spec (:meth:`Orchestrator.from_spec`), then ``ingest()`` +
   ``tick()``.
-* ``python -m repro.orchestrator.smoke`` — the deterministic fault
-  drill (``make orchestrator-smoke``).
+* ``tests/test_orchestrator.py`` — the deterministic fault drills
+  (the crash matrix, retries, lag targets under a virtual clock).
 
 See ``docs/orchestration.md`` for the model and
 ``docs/operations.md`` for the upstream-failure runbook.

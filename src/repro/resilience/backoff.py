@@ -17,7 +17,7 @@ them fail in the first place.
 Determinism contract: the RNG is only consulted when a pause actually
 happens (``base_seconds > 0``), one draw per pause, so a seeded
 schedule replays exactly — tests pin the full pause sequence.  Pass
-``sleep=`` to observe or stub the pauses (the orchestrator smoke runs
+``sleep=`` to observe or stub the pauses (the orchestrator tests run
 with ``sleep=lambda _s: None`` so fault drills take no wall time).
 """
 

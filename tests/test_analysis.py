@@ -17,9 +17,11 @@ Organized bottom-up, mirroring ``src/repro/analysis``:
   stdin, and exit codes.
 """
 
+import ast as python_ast
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +49,13 @@ from repro.datalog.ast import Span
 from repro.datalog.parser import parse_program
 from repro.datalog.safety import check_rule_safety, rule_safety_issues
 from repro.datalog.stratify import stratify
-from repro.errors import MaintenanceError, SafetyError, StrategyError
+from repro.errors import (
+    MaintenanceError,
+    ReproError,
+    SafetyError,
+    StrategyError,
+)
+from repro.storage.database import Database
 
 from conftest import TC_SRC, database_with
 
@@ -556,6 +564,79 @@ class TestLintCli:
         with contextlib.redirect_stdout(stdout):
             code = main(["lint", str(path)])
         assert code == 0 and "RV201" in stdout.getvalue()
+
+
+# ------------------------------------------------- the shipped examples
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+#: One program tripping a spread of checks: exactly these codes, no more.
+BAD_FIXTURE = """\
+p(X, Y) :- q(X), r(Z).
+s(X) :- q(X), not s(X).
+t(X) :- q(X), q(X).
+u(X) :- u(X).
+w(X) :- q(X).
+w(X) :- u(X), q(X).
+m(G, M) :- GROUPBY(q2(G, V), [G], M = MIN(V)).
+"""
+
+
+def example_programs():
+    """The Datalog sources embedded as string literals in examples/*.py.
+
+    A literal counts when it parses with at least one proper rule; SQL
+    sources and prose fail to parse and are skipped.
+    """
+    found = []
+    for path in sorted(EXAMPLES.glob("*.py")):
+        tree = python_ast.parse(path.read_text(encoding="utf-8"))
+        for node in python_ast.walk(tree):
+            text = getattr(node, "value", None)
+            if not isinstance(text, str) or ":-" not in text:
+                continue
+            try:
+                program = parse_program(text)
+            except ReproError:
+                continue
+            if any(not rule.is_fact for rule in program):
+                found.append((path.name, text))
+    return found
+
+
+class TestExamples:
+    def test_every_example_lints_clean_and_advice_matches_auto(
+        self, tmp_path
+    ):
+        programs = example_programs()
+        assert len(programs) >= 5
+        for name, source in programs:
+            report = analyze(source)
+            assert [d.code for d in report.errors()] == [], name
+            maintainer = ViewMaintainer.from_source(source, Database())
+            assert report.advice.overall == maintainer.strategy, name
+            code, out = run_lint(tmp_path, source, "--format", "json")
+            validate_document(json.loads(out))
+            assert code == 0, name
+
+    def test_bad_fixture_yields_exactly_its_codes(self, tmp_path):
+        report = analyze(BAD_FIXTURE)
+        assert {d.code for d in report.errors()} == {"RV001", "RV007"}
+        assert {d.code for d in report.warnings()} == {
+            "RV101", "RV102", "RV103", "RV105", "RV106", "RV107",
+        }
+        assert all(d.span is not None for d in report.errors())
+        code, out = run_lint(
+            tmp_path, BAD_FIXTURE, "--format", "json", "--fail-on", "warning"
+        )
+        validate_document(json.loads(out))
+        assert code == 1
+        code, out = run_lint(
+            tmp_path, BAD_FIXTURE, "--format", "json",
+            "--suppress", "RV001,RV007",
+        )
+        codes = {d["code"] for d in json.loads(out)["diagnostics"]}
+        assert code == 0 and not codes & {"RV001", "RV007"}
 
 
 # ------------------------------------------------------- report structure

@@ -4,8 +4,7 @@
 Runs ``benchmarks/bench_bf.py --smoke`` (toy scale — the numbers are
 meaningless, only the machinery and the schema are under test; the
 performance gates are recorded but enforced only at full scale) and
-validates the JSON schema the full benchmark publishes.  Wired into
-``make bf-smoke`` and the default ``make check``.
+validates the JSON schema the full benchmark publishes.
 """
 
 import json

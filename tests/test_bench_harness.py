@@ -1,7 +1,14 @@
 """Tests for the experiment harness (table rendering, registry, timing)."""
 
+import importlib.util
+from pathlib import Path
+
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.harness import ExperimentResult, format_table, timed
+
+LAYERS_PY = (
+    Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "layers.py"
+)
 
 
 class TestHarness:
@@ -55,3 +62,15 @@ class TestHarness:
     def test_registry_ids_match_design_doc(self):
         # DESIGN.md §4.2 promises exactly E1..E12 (+ four ablations).
         assert len(EXPERIMENTS) == 16
+
+
+def test_every_e2e_layer_target_resolves():
+    """The end-to-end benchmark wraps these names by ``getattr``; a
+    rename that misses one would crash the traced run in ``install()``."""
+    spec = importlib.util.spec_from_file_location("e2e_layers", LAYERS_PY)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.TARGETS
+    for module_name, path, _span in layers.TARGETS:
+        owner, attribute = layers._resolve(module_name, path)
+        assert callable(getattr(owner, attribute)), (module_name, path)

@@ -17,11 +17,49 @@ from repro.analysis.diagnostics import (
     suppress,
     validate_document,
 )
-from repro.analysis.sanitize_smoke import (
-    BAD_EXPECTED_ERRORS,
-    BAD_EXPECTED_SPANS,
-    BAD_FIXTURE,
-)
+
+
+#: A deliberately broken "cache layer": every method violates one of
+#: the disciplines the static pass enforces.  Never imported — lint
+#: input only.  Line numbers matter: the span tests assert them.
+BAD_FIXTURE = '''\
+"""Seeded publication-discipline bugs."""
+import os
+import threading
+
+
+class TornCache:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.epoch = 0
+
+    def publish(self, relation, rows):
+        relation._rows = dict(rows)
+        self.epoch = self.epoch + 1
+
+    def bump(self):
+        with self._lock:
+            self.epoch += 1
+
+    def persist(self, handle):
+        with self._lock:
+            os.fsync(handle)
+
+    def grab(self):
+        self._lock.acquire()
+'''
+
+#: code -> 1-based fixture line the analyzer must anchor it to.
+BAD_EXPECTED_SPANS = {
+    "RV301": 12,  # relation._rows = dict(rows)
+    "RV302": 13,  # self.epoch outside repro.storage.mvcc
+    "RV303": 21,  # os.fsync under self._lock
+    "RV304": 24,  # bare acquire, no release in a finally
+    "RV306": 13,  # self.epoch guarded in bump(), unguarded in publish()
+}
+
+#: The error-severity subset the static pass must flag.
+BAD_EXPECTED_ERRORS = {"RV301", "RV302", "RV304"}
 
 
 class TestSeededFixture:
@@ -100,12 +138,6 @@ class TestWriteDiscipline:
             for d in check_source(source, module="repro.eval.seminaive")
         ]
         assert codes == ["RV301", "RV301"]
-
-    def test_smoke_modules_may_inject_violations(self):
-        source = "def tear(rel):\n    rel._rows[(9, 9)] = 1\n"
-        assert check_source(
-            source, module="repro.analysis.sanitize_smoke"
-        ) == []
 
 
 class TestLockDiscipline:
@@ -187,12 +219,6 @@ class TestLayering:
     def test_downward_imports_are_clean(self):
         source = "from repro.storage.relation import CountedRelation\n"
         assert check_source(source, module="repro.core.maintenance") == []
-
-    def test_smoke_modules_are_exempt(self):
-        source = "from repro.core.maintenance import ViewMaintainer\n"
-        assert check_source(
-            source, module="repro.storage.mvcc_smoke"
-        ) == []
 
 
 class TestGlobalsAndThreads:

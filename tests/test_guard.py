@@ -189,6 +189,7 @@ class TestBudgetBreach:
         control.apply(MIXED)
         assert report.strategy == "recompute"
         assert fingerprint(maintainer) == fingerprint(control)
+        assert maintainer.guard.fallback_passes == 1
         maintainer.consistency_check()
 
     def test_fallback_report_carries_view_deltas(self):
@@ -364,19 +365,23 @@ class TestCircuitBreaker:
         assert status["fallback_passes"] == 1
         exposition = registry.to_prometheus()
         assert "repro_guard_budget_breaches_total" in exposition
+        assert "repro_guard_fallback_passes_total" in exposition
         assert "repro_guard_breaker_transitions_total" in exposition
         assert "repro_guard_breaker_state" in exposition
 
 
 class TestAdmissionAndQuarantine:
-    def poisoned(self, tmp_path, **kwargs):
+    def poisoned(self, tmp_path, metrics=None, **kwargs):
         guard = GuardPolicy(
             quarantine_path=str(tmp_path / "q.dlq"), **kwargs
         )
-        return build(HOP_TRI_SRC, "counting", guard)
+        return build(HOP_TRI_SRC, "counting", guard, metrics=metrics)
 
     def test_idb_write_quarantined(self, tmp_path):
-        maintainer = self.poisoned(tmp_path)
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        maintainer = self.poisoned(tmp_path, metrics=registry)
         before = fingerprint(maintainer)
         report = maintainer.apply(Changeset().insert("hop", ("x", "y")))
         assert report.strategy == "quarantined"
@@ -384,6 +389,7 @@ class TestAdmissionAndQuarantine:
         [entry] = maintainer.quarantine.entries()
         assert entry["reason"] == "admission"
         assert "derived relation" in entry["error"]
+        assert "repro_guard_quarantined_total" in registry.to_prometheus()
 
     def test_arity_mismatch_quarantined(self, tmp_path):
         maintainer = self.poisoned(tmp_path)

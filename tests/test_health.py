@@ -30,6 +30,7 @@ from repro.obs import (
     render_profile,
     top_frame,
     validate_profile_report,
+    validate_prometheus,
 )
 from repro.storage.changeset import Changeset
 from repro.storage.database import Database
@@ -462,6 +463,7 @@ class TestMaintainerIntegration:
         fired = {(a["view"], a["objective"]) for a in alerts
                  if a["event"] == "fire"}
         assert fired == {("hop", "freshness_lag"), ("hop", "error_rate")}
+        assert maintainer.lag()["changesets"] == 3
         # Degraded passes are scored but not profiled.
         assert engine.passes_evaluated == 3
         assert profiler.passes == 0
@@ -474,6 +476,12 @@ class TestMaintainerIntegration:
         assert {a["objective"] for a in alerts if a["event"] == "clear"} == {
             "freshness_lag", "error_rate",
         }
+        assert maintainer.lag()["changesets"] == 0
+        text = maintainer.metrics.to_prometheus()
+        assert validate_prometheus(text) == []
+        for family in ("compliance", "burn_rate", "error_budget_remaining",
+                       "alerts_total", "alerts_active"):
+            assert f"# TYPE repro_slo_{family} " in text
 
     def test_profiler_exemplar_resolves_in_ring(self, tmp_path):
         ring = RingSink()

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.analysis.soak import run_soak
 from repro.core.maintenance import ViewMaintainer
 from repro.errors import (
     BudgetExceeded,
@@ -27,8 +28,6 @@ from repro.storage.changeset import Changeset
 from repro.storage.database import Database
 from repro.storage.journal import Journal, recover
 from repro.storage.mvcc import SnapshotRead, VersionManager, autocommit
-from repro.storage.mvcc_smoke import TC_SRC as SOAK_TC_SRC
-from repro.storage.mvcc_smoke import run_soak
 
 from conftest import EXAMPLE_1_1_LINKS, HOP_TRI_SRC, TC_SRC, database_with
 
@@ -495,7 +494,7 @@ class TestConcurrencySoak:
     def test_dred_soak_zero_torn_reads(self):
         stats = run_soak(
             passes=300,
-            source=SOAK_TC_SRC,
+            source=TC_SRC,
             strategy="dred",
             min_reads=2000,
             seed=5,
@@ -511,7 +510,7 @@ class TestConcurrencySoak:
         at any wave must discard the uncommitted epoch wholesale."""
         stats = run_soak(
             passes=300,
-            source=SOAK_TC_SRC,
+            source=TC_SRC,
             strategy="bf",
             min_reads=2000,
             seed=11,

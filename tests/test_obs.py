@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.active import SubscriptionHub
 from repro.core.maintenance import ViewMaintainer
+from repro.guard import GuardPolicy
 from repro.obs import (
     JsonlSink,
     MetricsRegistry,
@@ -24,6 +25,7 @@ from repro.obs import (
     TeeSink,
     Tracer,
     configure_logging,
+    get_default_registry,
     span_tree_paths,
     validate_prometheus,
     validate_trace_events,
@@ -442,6 +444,19 @@ class TestTracedMaintenance:
         for name in phases:
             assert spans[name] == pytest.approx(seconds[name], abs=1e-9)
 
+    def test_recompute_report_and_span_share_one_clock_reading(self):
+        ring = RingSink()
+        maintainer = maintainer_with(
+            CHAIN_SRC,
+            tracer=Tracer(ring),
+            guard=GuardPolicy(force_fallback=True),
+        )
+        report = maintainer.apply(Changeset().insert("link", ("d", "e")))
+        assert report.strategy == "recompute"
+        [span] = [e for e in ring.events if e["kind"] == "pass"]
+        assert span["name"] == "recompute"
+        assert report.seconds == span["attrs"]["seconds"]
+
     def test_rule_spans_carry_tuple_counts(self):
         ring = RingSink()
         maintainer = maintainer_with(HOP_SRC, tracer=Tracer(ring))
@@ -466,6 +481,40 @@ class TestTracedMaintenance:
         assert registry.get("repro_rules_fired_total").value() > 0
         assert registry.get("repro_pass_seconds").count(strategy="counting") == 1
         assert validate_prometheus(registry.to_prometheus()) == []
+
+    def test_exposition_covers_every_family(self):
+        """Counting and DRed passes fill one registry with >= 10
+        families; the MVCC version manager refreshes every
+        ``repro_mvcc_*`` family in the process registry on each commit."""
+        registry = MetricsRegistry()
+        shared = get_default_registry()
+        commits = shared.counter("repro_mvcc_commits_total", "Epochs committed.")
+        for strategy in ("counting", "dred"):
+            maintainer = maintainer_with(
+                CHAIN_SRC, strategy=strategy, metrics=registry
+            )
+            db = maintainer.database
+            epoch, before = db.epoch, commits.value()
+            maintainer.apply(Changeset().insert("link", ("e", "f")))
+            maintainer.apply(Changeset().delete("link", ("a", "d")))
+            assert commits.value() - before == db.epoch - epoch == 2
+            assert shared.get("repro_mvcc_epoch").value() == db.epoch
+        text = registry.to_prometheus()
+        assert validate_prometheus(text) == []
+        families = {
+            line.split()[2]
+            for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        }
+        assert len(families) >= 10
+        assert {
+            f"repro_mvcc_{name}"
+            for name in (
+                "epoch", "active_snapshots", "version_entries",
+                "commits_total", "gc_reclaimed_total",
+                "snapshot_too_old_total",
+            )
+        } <= {metric.name for metric in shared}
 
     def test_dred_metrics_include_overestimate_waste(self):
         registry = MetricsRegistry()

@@ -234,6 +234,24 @@ def test_dead_after_consecutive_failures_and_revive():
     orch.check_convergence()
 
 
+def test_probe_waits_for_its_cadence():
+    orch = seeded_orchestrator(
+        policy=RefreshPolicy(max_attempts=3, probe_every=2, dead_after=5)
+    )
+    # Three failures exhaust the retry budget; the probe then succeeds.
+    orch.faults("tris").arm("delta_derivation", first_k=3)
+    orch.ingest(
+        Changeset().insert("link", ("c", "e")).insert("link2", ("e", "h"))
+    )
+    assert orch.tick().failed == ["tris"]
+    assert orch.status()["quarantined"] == ["reach", "tris"]
+    assert orch.tick().probed == []  # one tick early
+    healed = orch.tick()
+    assert healed.probed == ["tris"]
+    assert healed.refreshed == ["tris", "reach"]
+    orch.check_convergence()
+
+
 def test_non_retryable_exception_fails_immediately():
     orch = seeded_orchestrator()
     orch.faults("hops").arm(
@@ -300,6 +318,23 @@ def test_downstream_without_consumers_is_on_demand():
     report = orch.refresh_now("base")  # ...only refreshed on demand
     assert report is not None and report.epoch is not None
     assert sorted(orch.read("pair").as_set()) == [("x", "y")]
+
+
+def test_each_node_waits_its_own_lag():
+    """Lag is per node: the consumer's clock starts when the upstream
+    delta reaches its queue, so it trails the source by one window."""
+    clock = VirtualClock()
+    orch = Orchestrator(
+        lag_pair(DOWNSTREAM, 60.0), metrics=MetricsRegistry(),
+        clock=clock, sleep=lambda _s: None,
+    )
+    assert orch.lags == {"base": 60.0, "rollup": 60.0}
+    orch.ingest(Changeset().insert("edge", ("x", "y")))
+    assert orch.tick().refreshed == []
+    clock.advance(61.0)
+    assert orch.tick().refreshed == ["base"]
+    clock.advance(61.0)
+    assert orch.tick().refreshed == ["rollup"]
 
 
 # --------------------------------------------------------------------------
@@ -512,7 +547,8 @@ def test_check_convergence_skips_behind_nodes_instead_of_misfiring():
     behind = orch.check_convergence()
     assert set(behind) == {"hops", "tris", "reach", "sibling"}
     assert list(behind) == [n for n in orch.graph.order if n in set(behind)]
-    orch.tick()
+    # One tick carries the source changeset through all three levels.
+    assert orch.tick().refreshed == ["hops", "sibling", "tris", "reach"]
     assert orch.check_convergence() == ()
 
 

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.analysis.sanitizer import RuntimeSanitizer, fingerprint
+from repro.analysis.soak import run_soak
 from repro.core.maintenance import Changeset, ViewMaintainer
 from repro.errors import SanitizerError
 from repro.storage.database import Database
@@ -309,11 +310,9 @@ class TestObservability:
 
 class TestSoakIntegration:
     def test_run_soak_reports_sanitizer_stats(self):
-        from repro.storage.mvcc_smoke import run_soak
-
         stats = run_soak(
-            readers=2,
-            passes=12,
+            readers=3,
+            passes=40,
             crash_every=0,
             journal_crash_every=0,
             breach_every=0,
@@ -321,11 +320,9 @@ class TestSoakIntegration:
         )
         assert stats["problems"] == []
         assert stats["sanitizer"]["trapped"] == 0
-        assert stats["sanitizer"]["checks"] > 0
+        assert stats["sanitizer"]["checks"] > 100
 
     def test_run_soak_default_has_no_sanitizer_block(self):
-        from repro.storage.mvcc_smoke import run_soak
-
         stats = run_soak(
             readers=1,
             passes=4,
