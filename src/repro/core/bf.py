@@ -69,16 +69,8 @@ from typing import Dict, List, Optional
 from repro.core import names
 from repro.core.dred import DRedMaintenance, DRedResult, DRedStats
 from repro.datalog.ast import Literal, Rule, Subgoal
-from repro.datalog.terms import Variable
-from repro.eval.rule_eval import (
-    EvalContext,
-    Resolver,
-    _key_spec,
-    directly_bound_variables,
-    match_args,
-    plan_body,
-    solutions,
-)
+from repro.datalog.terms import Constant, Variable
+from repro.eval.rule_eval import EvalContext, Resolver, compile_plan, solutions
 from repro.eval.seminaive import seminaive
 from repro.storage.changeset import Changeset
 from repro.storage.relation import CountedRelation
@@ -182,146 +174,42 @@ class _Prover:
         """Per-rule check machinery for ``predicate``, analyzed once.
 
         Every check of a ``p`` candidate binds the same head variables,
-        so the seed-binding shape, the adornment — and hence the plan —
-        are constant per rule; redoing any of that per point-query would
-        pay the analysis thousands of times over.  Each entry is
-        ``(rule, head_names, fast, compiled)``:
+        so the adornment — and hence the plan — is constant per rule;
+        redoing the analysis per point-query would pay it thousands of
+        times over.  Each entry is ``(rule, plan, exact, supports)``:
 
-        * ``head_names`` — the head's variable names when they are all
-          distinct plain variables, so the seed binding is one
-          ``dict(zip(head_names, row))``; ``None`` forces the slow
-          consistency-checked build (repeated variables, constants).
-        * ``fast`` — a hand-rolled point-query plan (see :meth:`_walk`),
-          or ``None``.  The generic ``solutions`` generator stack costs
-          tens of microseconds per call — fatal when the backward check
-          issues thousands of fully-bound point queries.  For the common
-          shape (all-variable head, body of positive literals only) we
-          precompute the join order and per-literal key specs and walk
-          them with plain dict/index operations instead: fully-bound
-          literals become a single membership probe (no index build at
-          all) or a recursive check, partially-bound ones an index
-          lookup.  Anything fancier (negation, comparisons, aggregates,
-          constants in the head) falls back to ``solutions``.
-        * ``compiled`` — the head-adorned ``solutions`` plan for that
-          fallback, pre-fetched from the shared cache.
+        * ``plan`` — the head-adorned compiled plan, fetched once from
+          the shared cache (or compiled when there is none);
+        * ``exact`` — every head argument is a variable or a constant,
+          so a consistent seed binding already fixes the head row;
+        * ``supports`` — the same-stratum positive body literals, each
+          proved through :meth:`_check` per solution.
         """
         analyzed = self._analyzed.get(predicate)
         if analyzed is not None:
             return analyzed
         analyzed = []
         for rule in self.rules_for.get(predicate, ()):
-            all_vars = all(
-                isinstance(arg, Variable) for arg in rule.head.args
+            adornment = frozenset(
+                arg.name for arg in rule.head.args if isinstance(arg, Variable)
             )
-            name_list = tuple(
-                arg.name
-                for arg in rule.head.args
-                if isinstance(arg, Variable)
+            if self.ctx.plan_cache is not None:
+                plan = self.ctx.plan_cache.plan(rule, None, adornment, self.ctx)
+            else:
+                plan = compile_plan(rule, None, adornment, self.ctx)
+            exact = all(
+                isinstance(arg, (Variable, Constant)) for arg in rule.head.args
             )
-            head_names = (
-                name_list
-                if all_vars and len(set(name_list)) == len(name_list)
-                else None
+            supports = tuple(
+                subgoal
+                for subgoal in rule.body
+                if isinstance(subgoal, Literal)
+                and not subgoal.negated
+                and subgoal.predicate in self.rules_for
             )
-            fast = None
-            if all_vars:
-                order = plan_body(rule.body, None, self.ctx)
-                if all(
-                    isinstance(subgoal, Literal) and not subgoal.negated
-                    for subgoal in order
-                ):
-                    bound = set(name_list)
-                    steps = []
-                    for subgoal in order:
-                        spec = _key_spec(subgoal, bound)
-                        key_set = set(spec[0])
-                        free: List[tuple] = []
-                        simple = True
-                        for position, arg in enumerate(subgoal.args):
-                            if position in key_set:
-                                continue
-                            if (
-                                isinstance(arg, Variable)
-                                and arg.name not in bound
-                            ):
-                                free.append((position, arg.name))
-                            else:
-                                simple = False
-                                break
-                        if simple and len({n for _, n in free}) != len(
-                            free
-                        ):
-                            simple = False  # repeated free var: p(X,X)
-                        steps.append(
-                            (
-                                subgoal,
-                                spec,
-                                self.ctx.resolver.relation(
-                                    subgoal.predicate
-                                ),
-                                subgoal.predicate in self.rules_for,
-                                tuple(free) if simple else None,
-                            )
-                        )
-                        bound |= directly_bound_variables(subgoal, bound)
-                    fast = tuple(steps)
-            compiled = None
-            if fast is None and self.ctx.plan_cache is not None:
-                compiled = self.ctx.plan_cache.plan(
-                    rule, None, frozenset(name_list), self.ctx
-                )
-            analyzed.append((rule, head_names, fast, compiled))
+            analyzed.append((rule, plan, exact, supports))
         self._analyzed[predicate] = analyzed
         return analyzed
-
-    def _walk(self, steps, i: int, binding, low):
-        """Join the literals ``steps[i:]`` under ``binding``; ``(ok, low)``.
-
-        Each step carries the literal, its key spec, its resolved
-        relation, a same-stratum flag, and (when the non-key positions
-        are plain distinct variables) a direct binding extractor.
-        Same-stratum support rows recurse through :meth:`_check` as they
-        are enumerated; failed supports accumulate their low-link and
-        the walk backtracks to the next match.
-        """
-        if i == len(steps):
-            return True, low
-        literal, (key_positions, key_terms), rel, recursive, free = steps[i]
-        if len(key_positions) == len(literal.args):
-            row_list = [None] * len(key_positions)
-            for position, term in zip(key_positions, key_terms):
-                row_list[position] = term.evaluate(binding)
-            row = tuple(row_list)
-            if not rel.contains_positive(row):
-                # The view over-approximates the new state all through
-                # the delete phase, so absence is absence — and for
-                # same-stratum supports this pre-filter keeps the
-                # recursion inside rows that were ever derivable.
-                return False, low
-            if recursive:
-                ok, sub_low = self._check(literal.predicate, row)
-                if not ok:
-                    return False, min(low, sub_low)
-            return self._walk(steps, i + 1, binding, low)
-        key = tuple(term.evaluate(binding) for term in key_terms)
-        for row in rel.lookup(key_positions, key):
-            if free is not None:
-                extended = dict(binding)
-                for position, name in free:
-                    extended[name] = row[position]
-            else:
-                extended = match_args(literal.args, row, binding)
-                if extended is None:
-                    continue
-            if recursive:
-                ok, sub_low = self._check(literal.predicate, row)
-                if not ok:
-                    low = min(low, sub_low)
-                    continue
-            ok, low = self._walk(steps, i + 1, extended, low)
-            if ok:
-                return True, low
-        return False, low
 
     def provable(self, predicate: str, row: tuple) -> bool:
         """Does ``predicate(row)`` keep a derivation in the new state?"""
@@ -343,54 +231,33 @@ class _Prover:
         self._index[atom] = index
         self._region.append(atom)
         low = _UNBLOCKED
-        for rule, head_names, fast, compiled in self._rules(predicate):
-            if head_names is not None:
-                seed_binding = dict(zip(head_names, row))
-            else:
-                seed_binding = {}
-                consistent = True
-                for arg, value in zip(rule.head.args, row):
-                    if isinstance(arg, Variable):
-                        if seed_binding.get(arg.name, value) != value:
-                            consistent = False
-                            break
-                        seed_binding[arg.name] = value
-                if not consistent:
-                    continue
-            if fast is not None:
-                ok, low = self._walk(fast, 0, seed_binding, low)
-                if ok:
-                    self.proven.add(atom)
-                    self._pop_region(atom, disprove=False)
-                    return True, _UNBLOCKED
+        for rule, plan, exact, supports in self._rules(predicate):
+            seed_binding = {}
+            consistent = True
+            for arg, value in zip(rule.head.args, row):
+                if isinstance(arg, Variable):
+                    if seed_binding.setdefault(arg.name, value) != value:
+                        consistent = False
+                        break
+                elif isinstance(arg, Constant) and arg.value != value:
+                    consistent = False
+                    break
+            if not consistent:
                 continue
             for binding, count in solutions(
-                rule,
-                self.ctx,
-                initial_binding=seed_binding,
-                compiled=compiled,
+                rule, self.ctx, initial_binding=seed_binding, compiled=plan
             ):
                 if count <= 0:
                     continue
-                head_row = tuple(
+                if not exact and row != tuple(
                     arg.evaluate(binding) for arg in rule.head.args
-                )
-                if head_row != row:
+                ):
                     continue
                 proved_all = True
-                for subgoal in rule.body:
-                    if (
-                        not isinstance(subgoal, Literal)
-                        or subgoal.negated
-                    ):
-                        continue
-                    if subgoal.predicate not in self.rules_for:
-                        continue  # base/lower stratum: ctx settled it
-                    support_row = tuple(
-                        arg.evaluate(binding) for arg in subgoal.args
-                    )
+                for support in supports:
                     ok, sub_low = self._check(
-                        subgoal.predicate, support_row
+                        support.predicate,
+                        tuple(arg.evaluate(binding) for arg in support.args),
                     )
                     if not ok:
                         low = min(low, sub_low)

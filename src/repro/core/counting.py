@@ -349,12 +349,10 @@ class CountingMaintenance(StrategyPass):
             if self._relevance is None:
                 propagated = delta.copy()
             else:
+                kept, skipped = self._relevance.relevant_part(name, delta)
+                self.stats.irrelevant_skipped += skipped
                 propagated = CountedRelation(names.delta(name))
-                for row, count in delta.items():
-                    if self._relevance.is_relevant(name, row):
-                        propagated.add(row, count)
-                    else:
-                        self.stats.irrelevant_skipped += 1
+                propagated.absorb(kept)
             if self.semantics == "set":
                 old = self._old_relation(name)
                 self._cascade[name] = _crossings(old, propagated)

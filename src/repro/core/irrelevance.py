@@ -10,108 +10,67 @@ such rows *before* any delta rule runs, with a purely syntactic test:
 
 a changed row of relation ``q`` is **relevant** iff some rule has a
 (possibly negated) body literal over ``q`` that the row *matches* —
-constant arguments agree — and no comparison of that rule that is fully
-determined by that literal's own variables evaluates to false.
+constant arguments and repeated variables agree — and no comparison of
+that rule over that literal's own bound variables evaluates to false.
 
-The test is conservative (comparisons involving other subgoals' vars
-are assumed satisfiable; aggregate-grouped relations use the inner
-literal's pattern), so filtering never changes results — only work.
+The test is conservative, so filtering never changes results — only
+work: an argument naming a variable the literal does not bind (``p(X +
+1)`` with ``X`` bound elsewhere) matches anything, a comparison that
+raises an :class:`~repro.errors.EvaluationError` keeps the row,
+comparisons involving other subgoals' variables are not tested, and
+aggregate-grouped relations use the inner literal's pattern.  The test
+of each relation is compiled into one row filter
+(:func:`~repro.eval.kernel.build_relevance_filter`) that runs over a
+whole base delta per call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.datalog.ast import Aggregate, Comparison, Literal, Program
-from repro.errors import EvaluationError
-from repro.eval.rule_eval import match_args
-from repro.storage.changeset import Changeset
-from repro.storage.relation import Row
+from repro.eval.kernel import Occurrence, build_relevance_filter
+from repro.storage.relation import CountedRelation, Row
 
 
 class RelevanceFilter:
-    """Precomputed per-predicate occurrence lists for fast row tests."""
+    """One compiled row filter per relation the program reads."""
 
     def __init__(self, program: Program) -> None:
-        # predicate → [(literal-or-inner-literal, determinable comparisons)]
-        self._occurrences: Dict[str, List[Tuple[Literal, Tuple[Comparison, ...]]]] = {}
+        occurrences: Dict[str, List[Occurrence]] = {}
         for rule in program:
             comparisons = tuple(
-                subgoal for subgoal in rule.body
+                subgoal
+                for subgoal in rule.body
                 if isinstance(subgoal, Comparison)
+                and subgoal.op != "="  # '=' may be an assignment
             )
             for subgoal in rule.body:
                 if isinstance(subgoal, Literal):
-                    literal = Literal(subgoal.predicate, subgoal.args)
+                    literal = subgoal
                 elif isinstance(subgoal, Aggregate):
                     literal = subgoal.relation
                 else:
                     continue
-                determinable = tuple(
-                    comparison
-                    for comparison in comparisons
-                    if comparison.variables() <= literal.variables()
-                    and comparison.op != "="  # '=' may be an assignment
+                occurrences.setdefault(literal.predicate, []).append(
+                    (literal.args, comparisons)
                 )
-                self._occurrences.setdefault(literal.predicate, []).append(
-                    (literal, determinable)
-                )
+        self._filters: Dict[str, Callable] = {
+            predicate: build_relevance_filter(tuple(found))
+            for predicate, found in occurrences.items()
+        }
+
+    def relevant_part(
+        self, relation: str, delta: CountedRelation
+    ) -> Tuple[Dict[Row, int], int]:
+        """``({row: count} of the relevant rows, #rows dropped)``."""
+        keep = self._filters.get(relation)
+        if keep is None:
+            return {}, len(delta)  # no rule references the relation
+        kept: Dict[Row, int] = {}
+        return kept, keep(delta.items(), kept)
 
     def is_relevant(self, relation: str, row: Row) -> bool:
         """Can a change to ``relation(row)`` possibly affect any view?"""
-        occurrences = self._occurrences.get(relation)
-        if occurrences is None:
-            return False  # no rule references the relation at all
-        for literal, comparisons in occurrences:
-            binding = match_args(literal.args, row, {})
-            if binding is None:
-                continue  # constant pattern mismatch at this occurrence
-            rejected = False
-            for comparison in comparisons:
-                try:
-                    satisfied = _evaluate(comparison, binding)
-                except EvaluationError:
-                    satisfied = True  # cannot determine → assume relevant
-                if not satisfied:
-                    rejected = True
-                    break
-            if not rejected:
-                return True
-        return False
-
-    def split(self, changes: Changeset) -> Tuple[Changeset, int]:
-        """Partition a changeset into (relevant part, #rows dropped).
-
-        The relevant part is what delta propagation needs to see; the
-        full changeset must still be applied to the base relations.
-        """
-        relevant = Changeset()
-        skipped = 0
-        for name, delta in changes:
-            for row, count in delta.items():
-                if self.is_relevant(name, row):
-                    relevant.add_delta(
-                        name, _singleton(name, row, count)
-                    )
-                else:
-                    skipped += 1
-        return relevant, skipped
-
-
-def _singleton(name: str, row: Row, count: int):
-    from repro.storage.relation import CountedRelation
-
-    relation = CountedRelation(name)
-    relation.add(row, count)
-    return relation
-
-
-def _evaluate(comparison: Comparison, binding: Dict[str, object]) -> bool:
-    from repro.eval.rule_eval import _COMPARE
-
-    left = comparison.left.evaluate(binding)
-    right = comparison.right.evaluate(binding)
-    try:
-        return bool(_COMPARE[comparison.op](left, right))
-    except TypeError as exc:
-        raise EvaluationError(str(exc)) from exc
+        keep = self._filters.get(relation)
+        return keep is not None and not keep(((row, 1),), {})

@@ -25,7 +25,9 @@ A join kernel has one of two sinks:
   on ``counter.index_probes`` as it is made.
 
 A GROUPBY's inner literal compiles the same way into a **projection**
-(:func:`build_projection`), the input of the one group fold.
+(:func:`build_projection`), the input of the one group fold, and the
+[BCL89] relevance test of a relation into one **row filter**
+(:func:`build_relevance_filter`) over a whole base delta.
 
 Relations are resolved once per call.  A :class:`CountedRelation` is
 read directly (its ``_rows`` dict and its index buckets); anything else
@@ -56,6 +58,9 @@ _ARITHMETIC_OPS = {"+": "+", "-": "-", "*": "*", "/": "/", "//": "//", "%": "%"}
 
 #: ``(positions, terms)`` of one literal's index key.
 KeySpec = Tuple[Tuple[int, ...], Tuple[Term, ...]]
+
+#: A body literal's arguments and the comparisons a row filter tests.
+Occurrence = Tuple[Tuple[Term, ...], Tuple[Comparison, ...]]
 
 
 # --------------------------------------------------------------- run time
@@ -135,6 +140,7 @@ _RUNTIME = {
     "_arithmetic_error": _arithmetic_error,
     "_negation_error": _negation_error,
     "_comparison_error": _comparison_error,
+    "_EvaluationError": EvaluationError,
 }
 
 
@@ -247,11 +253,19 @@ class _Compiler:
         else:
             self.emit("probes += 1")
 
-    def match(self, args: Sequence[Term], row: str, keys: Sequence[int]) -> None:
+    def match(
+        self,
+        args: Sequence[Term],
+        row: str,
+        keys: Sequence[int],
+        wildcards: bool = False,
+    ) -> None:
         """Bind the non-key positions of ``row``; test repeated variables.
 
-        Any other non-key term (only a projection has one) must equal
-        its value once the whole row is bound.
+        Any other non-key term (only a projection or a row filter has
+        one) must equal its value once the whole row is bound; with
+        ``wildcards`` a term naming a variable the row leaves unbound
+        matches any value instead.
         """
         key_set = set(keys)
         targets: List[str] = []
@@ -275,6 +289,8 @@ class _Compiler:
             self.emit("except ValueError:")
             self.emit("    continue")
         for term, other in checks:
+            if wildcards and not term.variables() <= self.locals.keys():
+                continue
             self.repeat_check(self.expr(term), other)
 
     def repeat_check(self, bound: str, value: str) -> None:
@@ -426,6 +442,38 @@ class _Compiler:
         self.emit(f"yield {key}, {self.expr(aggregate.argument)}, c")
         return "\n".join(["def kernel(items):", *self.lines]) + "\n"
 
+    def relevance(self, occurrences: Sequence[Occurrence]) -> str:
+        """Source of ``kernel(items, kept) -> skipped``, a row filter.
+
+        A row is kept when some occurrence matches it and none of the
+        comparisons over that occurrence's own variables is false.  A
+        comparison that raises :class:`EvaluationError` keeps the row.
+        """
+        self.open_loop("for t, c in items:")
+        outer = self.indent
+        for args, comparisons in occurrences:
+            self.locals = {}
+            self.open_loop("for _ in _ONCE:")
+            self.match(args, "t", (), wildcards=True)
+            for comparison in comparisons:
+                if comparison.variables() <= self.locals.keys():
+                    self.open_loop("try:")
+                    self.comparison(comparison)
+                    self.indent -= 1
+                    self.emit("except _EvaluationError:")
+                    self.emit("    pass")
+            self.emit("break")
+            self.indent -= 1
+            self.open_loop("else:")
+        self.emit("skipped += 1")
+        self.emit("continue")
+        self.indent = outer
+        self.emit("kept[t] = c")
+        return "\n".join(
+            ["def kernel(items, kept):", "    skipped = 0", *self.lines,
+             "    return skipped"]
+        ) + "\n"
+
     # ------------------------------------------------------------- whole
 
     def source(self) -> str:
@@ -517,3 +565,17 @@ def build_projection(aggregate: Aggregate) -> Callable:
     count)`` of each ``(row, count)`` matching the GROUPBY's literal."""
     compiler = _Compiler((), (), frozenset(), (), None)
     return compiler.compile(compiler.projection(aggregate))
+
+
+@lru_cache(maxsize=256)
+def build_relevance_filter(occurrences: Tuple[Occurrence, ...]) -> Callable:
+    """``keep(items, kept) -> skipped`` for one relation's occurrences
+    (memoized: a pass without a plan cache builds its filter anew).
+
+    Each occurrence is a body literal's arguments and the non-``=``
+    comparisons of its rule.  ``keep`` copies every relevant ``(row,
+    count)`` pair of ``items`` into the dict ``kept`` and returns how
+    many pairs it dropped.
+    """
+    compiler = _Compiler((), (), frozenset(), (), None)
+    return compiler.compile(compiler.relevance(occurrences))

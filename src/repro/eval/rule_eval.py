@@ -32,14 +32,13 @@ Key properties:
 
 from __future__ import annotations
 
-import operator
 from typing import (
     Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from repro.datalog.ast import Aggregate, Comparison, Literal, Rule, Subgoal
 from repro.datalog.safety import directly_bound_variables
-from repro.datalog.terms import Constant, Term, Variable
+from repro.datalog.terms import Term, Variable
 from repro.errors import EvaluationError
 from repro.eval.kernel import EMPTY as _EMPTY
 from repro.eval.kernel import KeySpec, build_kernel
@@ -48,16 +47,6 @@ from repro.storage.relation import CountedRelation, Row
 
 #: Signature of the per-predicate count policy; True → each row counts 1.
 UnitCountPolicy = Callable[[str], bool]
-
-#: Comparison operators, for code that tests a comparison outside a plan.
-_COMPARE = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 
 
 class Resolver:
@@ -144,54 +133,6 @@ class EvalContext:
         return view.initialize(self.resolver.relation(predicate))
 
 
-# --------------------------------------------------------------------------
-# Matching
-# --------------------------------------------------------------------------
-
-
-def match_args(
-    args: Sequence[Term], row: Row, binding: Dict[str, object]
-) -> Optional[Dict[str, object]]:
-    """Extend ``binding`` so that ``args`` matches ``row``; None on failure.
-
-    Bare variables bind (consistently across repeated occurrences); all
-    other terms are evaluated under the *extended* binding and compared.
-    Terms whose variables remain unbound cannot be evaluated — the planner
-    prevents that for well-ordered plans, and it is an evaluation error
-    otherwise.
-    """
-    if len(args) != len(row):
-        return None
-    extended: Optional[Dict[str, object]] = None
-    deferred: List[Tuple[Term, object]] = []
-    for arg, value in zip(args, row):
-        if isinstance(arg, Variable):
-            current = binding if extended is None else extended
-            bound = current.get(arg.name, _UNBOUND)
-            if bound is _UNBOUND:
-                if extended is None:
-                    extended = dict(binding)
-                extended[arg.name] = value
-            elif bound != value:
-                return None
-        elif isinstance(arg, Constant):
-            if arg.value != value:
-                return None
-        else:
-            deferred.append((arg, value))
-    final = extended if extended is not None else binding
-    for term, value in deferred:
-        if term.evaluate(final) != value:
-            return None
-    return final if extended is not None else dict(binding)
-
-
-class _Unbound:
-    __slots__ = ()
-
-
-_UNBOUND = _Unbound()
-
 #: Shared empty adornment (frozenset hashes are cached per object, so a
 #: singleton keeps the common no-initial-binding plan lookups cheap).
 _EMPTY_ADORNMENT: frozenset = frozenset()
@@ -274,14 +215,16 @@ def plan_body(
     Filters (ground comparisons, negations) run as soon as their inputs
     are bound; binder subgoals are chosen by boundness and (when ``ctx``
     is given) relation size; ``seed`` pins one subgoal (the Δ-subgoal)
-    to the very front.  Raises :class:`~repro.errors.EvaluationError`
-    when no safe order exists (i.e. the rule is unsafe).
+    to the very front unless an argument needs a variable bound first
+    (``Δp(X + 1)`` waits for ``X``).  Raises
+    :class:`~repro.errors.EvaluationError` when no safe order exists
+    (i.e. the rule is unsafe).
     """
     remaining = list(range(len(body)))
     bound: set = set()
     ordered: List[Subgoal] = []
 
-    if seed is not None:
+    if seed is not None and _is_evaluable(body[seed], bound):
         remaining.remove(seed)
         subgoal = body[seed]
         ordered.append(subgoal)

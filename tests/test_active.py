@@ -10,7 +10,7 @@ from repro.errors import (
 )
 from repro.storage.changeset import Changeset
 
-from conftest import HOP_SRC, HOP_TRI_SRC, TC_SRC, database_with, EXAMPLE_1_1_LINKS
+from conftest import HOP_SRC, HOP_TRI_SRC, TC_SRC, database_with
 
 
 @pytest.fixture

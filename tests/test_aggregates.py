@@ -1,7 +1,5 @@
 """Tests for the aggregate-function state machines ([DAJ91] taxonomy)."""
 
-import math
-
 import pytest
 
 from repro.errors import EvaluationError

@@ -5,7 +5,6 @@ import pytest
 from repro.datalog.ast import (
     Aggregate,
     Comparison,
-    Literal,
     Program,
     Rule,
     atom,

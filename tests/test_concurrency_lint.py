@@ -1,6 +1,7 @@
 """The RV3xx static concurrency battery and the devlint tree walker."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +298,15 @@ class TestSelfLint:
     def test_real_tree_has_zero_unused_imports(self):
         report = lint_self()
         assert [d for d in report.diagnostics if d.code == "RV220"] == []
+
+    def test_test_suite_has_zero_unused_imports(self):
+        # ruff's F401 over tests/, held where ruff is not installed.
+        found = [
+            f"{d.location()}: {d.message}"
+            for path in sorted(Path(__file__).parent.glob("*.py"))
+            for d in unused_imports(path.read_text(), path=str(path))
+        ]
+        assert found == []
 
     def test_every_finding_carries_its_file(self):
         report = lint_self()

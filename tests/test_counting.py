@@ -10,8 +10,7 @@ from repro.core.maintenance import ViewMaintainer
 from repro.datalog.parser import parse_program
 from repro.errors import MaintenanceError
 from repro.storage.changeset import Changeset
-from repro.storage.database import Database
-from repro.storage.relation import CountedRelation, relation_from_rows
+from repro.storage.relation import CountedRelation
 from repro.workloads import mixed_batch, random_graph
 
 from conftest import (

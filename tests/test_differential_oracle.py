@@ -23,11 +23,12 @@ hypothesis-chosen points between passes must keep reading exactly the
 recompute of the oracle database as it stood at acquire time
 (``test_interleaved_snapshots_match_recompute_at_pinned_epoch``).
 
-The suite runs 510 generated maintenance cases (see the
+The suite runs 770 generated maintenance cases (see the
 ``max_examples`` settings: 25×6 counting + 15×6×2 DRed/B-F +
-15×6×2 recursive DRed/B-F + 40×2 interleaved snapshots), derandomized
-so CI is reproducible.  Any divergence is a real bug: the oracles share
-no code path with the incremental algorithms.
+15×6×2×2 recursive DRed/B-F over two programs + 40×2 interleaved
+snapshots), derandomized so CI is reproducible.  Any divergence is a
+real bug: the oracles share no code path with the incremental
+algorithms.
 """
 
 import pytest
@@ -469,18 +470,40 @@ def test_interleaved_snapshots_match_recompute_at_pinned_epoch(
     assert db.mvcc.retained_entries() == 0
 
 
+#: Recursive rule shapes beyond TC's: a comparison in a recursive rule,
+#: a negated lower-stratum literal, head constants and a repeated head
+#: variable — B/F's backward check must bind and filter each of them.
+RECURSIVE_SHAPES_SRC = """
+r(X, Y) :- link(X, Y).
+r(X, Y) :- r(X, Z), link(Z, Y), X != Y.
+hub(X) :- link(X, Y), link(X, Z), Y < Z.
+from0(0, Y) :- link(0, Y).
+from0(0, Y) :- from0(0, Z), link(Z, Y), not hub(Z).
+same(X, X) :- link(0, X).
+same(X, X) :- same(Y, Y), link(Y, X).
+"""
+
+RECURSIVE_CASES = [
+    pytest.param(TC_SRC, *config.values, id=config.id) for config in CONFIGS
+] + [
+    pytest.param(RECURSIVE_SHAPES_SRC, *config.values,
+                 id=f"shapes-{config.id}")
+    for config in CONFIGS
+]
+
+
 @pytest.mark.parametrize("strategy", ["dred", "bf"])
-@pytest.mark.parametrize("cache,batched,guard", CONFIGS)
+@pytest.mark.parametrize("source,cache,batched,guard", RECURSIVE_CASES)
 @settings(max_examples=15, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(updates=update_stream(set_model=True))
-def test_dred_recursive_matches_recompute(strategy, cache, batched, guard,
-                                          updates):
-    """Same contract on the recursive TC program (fixpoint + rederive /
+def test_dred_recursive_matches_recompute(source, strategy, cache, batched,
+                                          guard, updates):
+    """Same contract on recursive programs (fixpoint + rederive /
     backward check + forward waves)."""
     edges, stream = updates
     maintainer = ViewMaintainer.from_source(
-        TC_SRC, database_with(edges), strategy=strategy, plan_cache=cache,
+        source, database_with(edges), strategy=strategy, plan_cache=cache,
         guard=_guard_policy(guard),
     ).initialize()
     oracle_db = database_with(edges)
@@ -494,4 +517,4 @@ def test_dred_recursive_matches_recompute(strategy, cache, batched, guard,
             maintainer.apply(changes.copy())
             oracle_db.apply_changeset(changes.copy())
 
-    _final_state_matches(maintainer, TC_SRC, oracle_db, "set")
+    _final_state_matches(maintainer, source, oracle_db, "set")

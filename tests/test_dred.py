@@ -9,7 +9,6 @@ from repro.errors import MaintenanceError
 from repro.eval.stratified import materialize
 from repro.datalog.parser import parse_program
 from repro.storage.changeset import Changeset
-from repro.storage.database import Database
 from repro.workloads import chain, grid, mixed_batch, random_graph, with_costs
 
 from conftest import HOP_SRC, TC_SRC, database_with

@@ -1,7 +1,5 @@
 """White-box tests of DRed's per-step machinery (§7)."""
 
-import pytest
-
 from repro.core.dred import DRedMaintenance
 from repro.core.maintenance import ViewMaintainer
 from repro.core.normalize import normalize_program

@@ -13,8 +13,6 @@ from repro.storage.relation import CountedRelation
 from repro.workloads import grid, random_graph
 
 from conftest import (
-    EXAMPLE_1_1_LINKS,
-    EXAMPLE_4_2_LINKS,
     HOP_TRI_SRC,
     ONLY_TRI_SRC,
     TC_SRC,

@@ -5,8 +5,6 @@ The heavy experiments run via ``python -m repro.bench``; the cheap ones
 check surface in the ordinary test suite.
 """
 
-import pytest
-
 from repro.bench.experiments import (
     e5_set_optimization,
     e11_recursive_counting,

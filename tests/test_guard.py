@@ -10,7 +10,6 @@ failing the stream; and strict reads refuse to serve views that lag it.
 """
 
 import json
-import os
 
 import pytest
 
@@ -30,7 +29,6 @@ from repro.guard import (
     NOOP_METER,
 )
 from repro.storage.changeset import Changeset
-from repro.storage.database import Database
 from repro.storage.journal import Journal
 
 from conftest import EXAMPLE_1_1_LINKS, HOP_TRI_SRC, TC_SRC, database_with

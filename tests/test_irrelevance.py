@@ -6,7 +6,6 @@ from repro.core.irrelevance import RelevanceFilter
 from repro.core.maintenance import ViewMaintainer
 from repro.datalog.parser import parse_program
 from repro.storage.changeset import Changeset
-from repro.storage.database import Database
 
 from conftest import database_with
 
@@ -62,17 +61,30 @@ class TestRelevanceFilter:
         relevance = RelevanceFilter(parse_program(CHEAP_SRC))
         assert relevance.is_relevant("link", ("a", "b", "not-a-number"))
 
-    def test_split_changeset(self):
-        relevance = RelevanceFilter(parse_program(CHEAP_SRC))
-        changes = (
-            Changeset()
-            .insert("link", ("a", "b", 1))
-            .insert("link", ("a", "c", 99))
-            .delete("link", ("d", "e", 77))
+    def test_argument_over_unbound_variable_is_a_wildcard(self):
+        relevance = RelevanceFilter(
+            parse_program("h(X) :- p(X + 1), q(X), X > 3.")
         )
-        relevant, skipped = relevance.split(changes)
-        assert skipped == 2
-        assert relevant.delta("link").to_dict() == {("a", "b", 1): 1}
+        assert relevance.is_relevant("p", (7,))
+        assert relevance.is_relevant("p", ("not-a-number",))
+
+    def test_bound_expression_argument_is_tested(self):
+        relevance = RelevanceFilter(parse_program("h(X) :- p(X + 1, X)."))
+        assert relevance.is_relevant("p", (6, 5))
+        assert not relevance.is_relevant("p", (7, 5))
+
+    def test_repeated_variable_must_agree(self):
+        relevance = RelevanceFilter(parse_program("loop(X) :- link(X, X)."))
+        assert relevance.is_relevant("link", ("a", "a"))
+        assert not relevance.is_relevant("link", ("a", "b"))
+
+    def test_comparison_raising_keeps_row(self):
+        relevance = RelevanceFilter(
+            parse_program("v(X) :- p(X, Y), X / Y < 1, X > 0.")
+        )
+        assert relevance.is_relevant("p", (1, 0))
+        assert not relevance.is_relevant("p", (-1, 0))
+        assert not relevance.is_relevant("p", (4, 2))
 
 
 class TestMaintenanceIntegration:
@@ -102,6 +114,18 @@ class TestMaintenanceIntegration:
             .insert("link", ("q", "r", 3))
         )
         assert maintainer.relation("cheap").as_set() == {("q", "r", 3)}
+        maintainer.consistency_check()
+
+    @pytest.mark.parametrize("strategy", ["counting", "dred", "bf"])
+    def test_expression_argument_literal_maintained(self, strategy):
+        db = database_with([(6,)], relation="p")
+        db.insert_rows("q", [(5,), (6,)])
+        maintainer = ViewMaintainer.from_source(
+            "h(X) :- p(X + 1), q(X).", db, strategy=strategy
+        ).initialize()
+        assert maintainer.relation("h").as_set() == {(5,)}
+        maintainer.apply(Changeset().insert("p", (7,)).delete("p", (6,)))
+        assert maintainer.relation("h").as_set() == {(6,)}
         maintainer.consistency_check()
 
     def test_fully_irrelevant_batch_touches_no_stratum(self):

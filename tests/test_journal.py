@@ -7,7 +7,6 @@ import pytest
 from repro.core.maintenance import ViewMaintainer
 from repro.errors import MaintenanceError
 from repro.storage.changeset import Changeset
-from repro.storage.database import Database
 from repro.storage.journal import Journal, recover
 from repro.storage.serialize import save_database
 

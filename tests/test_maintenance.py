@@ -11,7 +11,6 @@ from repro.errors import (
     UnknownRelationError,
 )
 from repro.storage.changeset import Changeset
-from repro.storage.database import Database
 
 from conftest import HOP_SRC, HOP_TRI_SRC, TC_SRC, database_with
 

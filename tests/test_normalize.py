@@ -1,7 +1,5 @@
 """Tests for program normalization (aggregate isolation)."""
 
-import pytest
-
 from repro.core import names
 from repro.core.normalize import normalize_program
 from repro.datalog.ast import Aggregate, Literal

@@ -27,7 +27,6 @@ import pytest
 from repro.errors import (
     DivergenceError,
     OrchestrationError,
-    ReproError,
     StaleViewError,
 )
 from repro.obs.metrics import MetricsRegistry

@@ -14,9 +14,6 @@ from repro.datalog.parser import parse_rule
 from repro.storage.changeset import Changeset
 
 from conftest import (
-    EXAMPLE_1_1_LINKS,
-    EXAMPLE_4_2_LINKS,
-    EXAMPLE_6_1_LINKS,
     HOP_SRC,
     HOP_TRI_SRC,
     ONLY_TRI_SRC,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datalog.ast import Aggregate, Comparison, Literal
+from repro.datalog.ast import Aggregate, Comparison
 from repro.datalog.lexer import tokenize
 from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.terms import BinaryOp, Constant, Variable

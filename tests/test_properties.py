@@ -19,7 +19,6 @@ from repro.core.maintenance import ViewMaintainer
 from repro.datalog.parser import parse_program, parse_rule
 from repro.eval.stratified import materialize
 from repro.storage.changeset import Changeset
-from repro.storage.database import Database
 from repro.storage.relation import CountedRelation
 
 from conftest import HOP_TRI_SRC, ONLY_TRI_SRC, TC_SRC, database_with

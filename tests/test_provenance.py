@@ -6,7 +6,7 @@ from repro.core.maintenance import ViewMaintainer
 from repro.errors import UnknownRelationError
 from repro.storage.changeset import Changeset
 
-from conftest import HOP_SRC, HOP_TRI_SRC, TC_SRC, database_with, EXAMPLE_1_1_LINKS
+from conftest import HOP_SRC, HOP_TRI_SRC, TC_SRC, database_with
 
 
 @pytest.fixture

@@ -177,8 +177,12 @@ class TestCrashPointAtomicity:
 
         maintainer = build(source, strategy, mvcc=mvcc)
         control = build(source, strategy, mvcc=mvcc)
-        for warmed in (maintainer, control):  # compile plans, declare indexes
+        # Compile plans, declare indexes: the deletion runs the backward
+        # check's head-adorned plans, whose indexes a first compile inside
+        # the failed pass would leave declared.
+        for warmed in (maintainer, control):
             warmed.apply(Changeset().insert("link", ("x", "y")))
+            warmed.apply(Changeset().delete("link", ("x", "y")))
         before = state(maintainer)
 
         maintainer.faults.arm(phase)

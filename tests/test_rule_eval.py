@@ -4,17 +4,12 @@ import pytest
 
 from repro.datalog.ast import Comparison, atom, rule
 from repro.datalog.parser import parse_rule
-from repro.datalog.terms import Constant, Variable
 from repro.errors import EvaluationError
-from repro.eval.rule_eval import (
-    EvalContext,
-    Resolver,
-    evaluate_rule,
-    match_args,
-    plan_body,
-)
+from repro.eval.rule_eval import EvalContext, Resolver, evaluate_rule, plan_body
 from repro.storage.database import Database
 from repro.storage.relation import CountedRelation, relation_from_rows
+
+from rule_eval_oracle import match_args
 
 
 def _context(relations, unit_counts=None):
@@ -22,6 +17,8 @@ def _context(relations, unit_counts=None):
 
 
 class TestMatchArgs:
+    """The oracle's matcher, which the kernel property compares against."""
+
     def test_binds_bare_variables(self):
         binding = match_args(atom("p", "X", "Y").args, ("a", "b"), {})
         assert binding == {"X": "a", "Y": "b"}

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.core.maintenance import ViewMaintainer
 from repro.errors import ParseError, SchemaError, UnknownRelationError
 from repro.sql import Catalog, create_views, parse_sql, translate_sql
 from repro.storage.changeset import Changeset
 from repro.storage.database import Database
-
-from conftest import EXAMPLE_1_1_LINKS, EXAMPLE_6_1_LINKS, database_with
 
 
 def link_catalog() -> Catalog:

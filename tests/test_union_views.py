@@ -5,13 +5,10 @@ rules with the same head, and counts add across rules (a tuple derived
 by two rules has ≥2 derivations).
 """
 
-import pytest
-
 from repro.core.maintenance import ViewMaintainer
 from repro.storage.changeset import Changeset
 from repro.storage.database import Database
 
-from conftest import database_with
 
 UNION_SRC = """
 edge(X, Y) :- road(X, Y).
